@@ -11,7 +11,8 @@ Subcommands map one-to-one onto library operations:
 
 Every subcommand accepts --json for machine-readable output.  Exit
 codes: 0 success, 1 verification or construction failure, 2 usage or
-parse error, 3 search budget exceeded.
+parse error (including an output file that cannot be written), 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -38,6 +39,20 @@ from .svg import export_svg
 def _strategy(text: str) -> str:
     _parse_strategy(text)
     return text
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -263,9 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_double)
 
     p = sub.add_parser("search", help="exhaustive maximum edge count for tiny parts")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--budget", type=float, default=300.0)
+    p.add_argument("--x", type=_positive_int, required=True)
+    p.add_argument("--y", type=_positive_int, required=True)
+    p.add_argument("--budget", type=_positive_float, default=300.0)
     p.add_argument("--out-witness", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
@@ -281,7 +296,7 @@ def main(argv=None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return args.func(args)
-    except documents.ParseError as err:
+    except (documents.ParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BudgetExceeded as err:

@@ -15,6 +15,9 @@ Drawing document keys:
     one_disk_face  index of a face incident to all X vertices in face
                    tracing order, or null
 
+Integer fields take JSON integers only: ``true`` and ``false`` are
+rejected with ParseError, though Python counts bool as int.
+
 Loading always re-runs full drawing validation; a well-formed file whose
 content breaks an invariant raises ValidationError, never a half-built
 object.  Malformed files raise ParseError.
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .drawing import Drawing, DrawingError, build_drawing, find_one_disk_face, trace_faces
+from .drawing import Drawing, DrawingError, build_drawing, trace_faces
 from .graph import BipartiteGraph, GraphError, new_bipartite
 
 GRAPH_SCHEMA = "onedisk-graph/1"
@@ -53,7 +56,7 @@ def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise ParseError(f"missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise ParseError(f"key {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -68,7 +71,7 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
     raw_edges = _require(doc, "edges", list)
     edges = []
     for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item)):
             raise ParseError(f"edge entry {item!r} is not a pair of integers")
         edges.append((item[0], item[1]))
     try:
@@ -79,10 +82,10 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
 
 def drawing_to_document(d: Drawing) -> dict:
     edge_index = {e: i for i, e in enumerate(d.graph.edges)}
-    disk = find_one_disk_face(d)
-    disk_index = None
-    if disk is not None:
-        disk_index = trace_faces(d).index(disk)
+    xs = range(d.graph.x_count)
+    disk_index = next(
+        (i for i, walk in enumerate(trace_faces(d)) if walk.visits_all(xs)), None
+    )
     return {
         "schema": DRAWING_SCHEMA,
         "graph": graph_to_document(d.graph),
@@ -101,7 +104,7 @@ def drawing_from_document(doc: dict) -> Drawing:
     raw_crossings = _require(doc, "crossings", list)
     pairs = []
     for item in raw_crossings:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item)):
             raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
         for idx in item:
             if not 0 <= idx < len(g.edges):
@@ -114,17 +117,17 @@ def drawing_from_document(doc: dict) -> Drawing:
             node = int(key)
         except ValueError:
             raise ParseError(f"rotation key {key!r} is not an integer") from None
-        if not (isinstance(nbrs, list) and all(isinstance(v, int) for v in nbrs)):
+        if not (isinstance(nbrs, list) and all(type(v) is int for v in nbrs)):
             raise ParseError(f"rotation at {key} is not a list of node ids")
         rotation[node] = tuple(nbrs)
+    disk_index = doc.get("one_disk_face")
+    if disk_index is not None and type(disk_index) is not int:
+        raise ParseError("one_disk_face must be an integer or null")
     try:
         d = build_drawing(g, pairs, rotation)
     except (DrawingError, GraphError) as err:
         raise ValidationError(f"{type(err).__name__}: {err}") from err
-    disk_index = doc.get("one_disk_face")
     if disk_index is not None:
-        if not isinstance(disk_index, int):
-            raise ParseError("one_disk_face must be an integer or null")
         faces = trace_faces(d)
         if not 0 <= disk_index < len(faces):
             raise ValidationError(f"one_disk_face index {disk_index} out of range")

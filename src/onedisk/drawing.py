@@ -13,11 +13,19 @@ along segment (u, v), leave along (v, w) where w follows u in the cyclic
 order at v.  A connected rotation system describes a sphere drawing
 exactly when the traced face count F satisfies V - E + F = 2; that check
 is what separates a genuine plane drawing from a higher-genus rotation.
+
+Faces are traced once per validated drawing.  :func:`build_drawing`
+traces them for its Euler check and keeps them on the Drawing, so
+:func:`trace_faces`, :func:`find_one_disk_face` and every caller of
+those (document save and load, doubling, the bounds report, SVG export)
+reuse them.  A Drawing made any other way (``Drawing(...)`` directly, or
+``dataclasses.replace``) carries no faces and is traced on each call.
+:func:`verification_failure` always re-traces from the raw fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .graph import BipartiteGraph, Edge
@@ -68,21 +76,29 @@ class FaceWalk:
 
     Each step (u, v) is the side of segment {u, v} traversed from u to v.
     Equality and hashing are cyclic: rotations of the same step sequence
-    compare equal, reversed walks do not.
+    compare equal, reversed walks do not.  The steps of a face walk are
+    distinct, since every segment side lies on exactly one face.
     """
 
     steps: tuple[Step, ...]
 
     def canonical(self) -> tuple[Step, ...]:
-        k = len(self.steps)
-        if k == 0:
-            return self.steps
-        best = min(range(k), key=lambda i: self.steps[i:] + self.steps[:i])
-        return self.steps[best:] + self.steps[:best]
+        """The rotation starting at the least step.
+
+        With distinct steps this is also the lexicographically least
+        rotation, found in O(k) instead of by comparing all k rotations.
+        """
+        steps = self.steps
+        if not steps:
+            return steps
+        k = steps.index(min(steps))
+        return steps[k:] + steps[:k]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaceWalk):
             return NotImplemented
+        if len(self.steps) != len(other.steps):
+            return False
         return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
@@ -158,12 +174,16 @@ class Drawing:
 
     Planarization node ids: original vertices keep their graph ids, the
     dummy of crossings[i] is graph.vertex_count + i.  Treat instances as
-    immutable; every operation here is pure.
+    immutable; every operation here is pure.  ``_faces`` holds the faces
+    build_drawing traced; it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
     crossings: tuple[Crossing, ...]
     rotation: dict[int, tuple[int, ...]]
+    _faces: tuple[FaceWalk, ...] | None = field(
+        init=False, compare=False, repr=False, default=None
+    )
 
     @property
     def node_count(self) -> int:
@@ -278,8 +298,17 @@ def _validate_structure(
         )
 
 
-def _euler_face_count(node_count: int, segment_count: int) -> int:
-    return 2 - node_count + segment_count
+def _checked_faces(
+    rotation: Mapping[int, Sequence[int]], node_count: int, segment_count: int
+) -> list[FaceWalk]:
+    """Trace the faces of ``rotation``; raise NotPlanarEmbedding on genus > 0."""
+    faces = rotation_faces(rotation)
+    expected = 2 - node_count + segment_count
+    if len(faces) != expected:
+        raise NotPlanarEmbedding(
+            f"face tracing found {len(faces)} faces, Euler's formula needs {expected}"
+        )
+    return faces
 
 
 def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
@@ -294,50 +323,49 @@ def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:
     dummies are numbered graph.vertex_count + index.  Every rotation is
     normalized to start at its smallest neighbor id, so structurally
     equal drawings compare equal.  Raises a DrawingError subclass on any
-    violated invariant, including a genus check via face tracing.
+    violated invariant, including a genus check via face tracing.  The
+    traced faces are kept on the result for :func:`trace_faces`.
     """
     cross = _normalize_crossings(graph, crossings)
     _validate_structure(graph, cross, rotation)
     norm = {v: _canonical_rotation(tuple(nbrs)) for v, nbrs in rotation.items()}
     d = Drawing(graph, cross, norm)
-    faces = rotation_faces(norm)
-    expected = _euler_face_count(d.node_count, d.segment_count)
-    if len(faces) != expected:
-        raise NotPlanarEmbedding(
-            f"face tracing found {len(faces)} faces, Euler's formula needs {expected}"
-        )
+    faces = _checked_faces(norm, d.node_count, d.segment_count)
+    object.__setattr__(d, "_faces", tuple(faces))
     return d
 
 
 def trace_faces(d: Drawing) -> list[FaceWalk]:
-    """All face walks of the drawing; raises NotPlanarEmbedding on genus > 0."""
-    faces = rotation_faces(d.rotation)
-    expected = _euler_face_count(d.node_count, d.segment_count)
-    if len(faces) != expected:
-        raise NotPlanarEmbedding(
-            f"face tracing found {len(faces)} faces, Euler's formula needs {expected}"
-        )
-    return faces
+    """All face walks of the drawing; raises NotPlanarEmbedding on genus > 0.
+
+    A drawing from build_drawing returns a copy of the faces traced
+    there, in the same order; any other Drawing is traced afresh.
+    """
+    if d._faces is not None:
+        return list(d._faces)
+    return _checked_faces(d.rotation, d.node_count, d.segment_count)
 
 
 def verification_failure(d: Drawing) -> str | None:
     """Reason the drawing fails 1-planar verification, or None if it passes.
 
     Re-checks everything from the raw fields, so it also catches objects
-    assembled or mutated outside build_drawing.
+    assembled or mutated outside build_drawing.  It ignores any faces
+    stored by build_drawing and traces the rotation itself.
     """
     try:
         n = d.graph.vertex_count
+        edge_set = set(d.graph.edges)
         for i, c in enumerate(d.crossings):
             if c.dummy != n + i:
                 raise DrawingError(f"crossing {i} has dummy id {c.dummy}, expected {n + i}")
             if set(c.edge_a) & set(c.edge_b):
                 raise AdjacentEdgesCross(f"edges {c.edge_a} and {c.edge_b} share an endpoint")
             for e in (c.edge_a, c.edge_b):
-                if e not in set(d.graph.edges):
+                if e not in edge_set:
                     raise DrawingError(f"crossing {i} references missing edge {e}")
         _validate_structure(d.graph, d.crossings, d.rotation)
-        trace_faces(d)
+        _checked_faces(d.rotation, d.node_count, d.segment_count)
     except (DrawingError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
     return None

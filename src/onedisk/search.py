@@ -248,7 +248,8 @@ def _canonical_edges(x: int, y: int, chosen: tuple[Edge, ...]) -> tuple[Edge, ..
             candidate = tuple(tuple(matrix[r][c] for c in cols) for r in rows)
             if best is None or candidate < best:
                 best = candidate
-    assert best is not None
+    if best is None:
+        raise RuntimeError(f"no relabeling enumerated for parts ({x}, {y})")
     return tuple((i, x + j) for i in range(x) for j in range(y) if best[i][j])
 
 
@@ -287,7 +288,8 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
                 continue
             status, witness = _decide_drawable(g, limits, deadline)
             if status == _FOUND:
-                assert witness is not None
+                if witness is None:
+                    raise RuntimeError(f"drawable {m}-edge graph came without a witness")
                 if m > ceiling:
                     raise RuntimeError(
                         f"witness with {m} edges exceeds the proven ceiling {ceiling}"

@@ -149,3 +149,46 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert "one_disk" in result.stdout
+
+
+def _missing_dir_path(tmp_path, name):
+    return str(tmp_path / "absent" / name)
+
+
+def test_unwritable_construct_outputs_exit_2(tmp_path, capsys):
+    base = ["construct", "--x", "3", "--y", "3"]
+    g, d = str(tmp_path / "g.json"), str(tmp_path / "d.json")
+    bad = _missing_dir_path(tmp_path, "out")
+    for argv in (
+        base + ["--out-graph", bad, "--out-drawing", d],
+        base + ["--out-graph", g, "--out-drawing", bad],
+        base + ["--out-graph", g, "--out-drawing", d, "--svg", bad],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_unwritable_double_output_exit_2(tmp_path, capsys):
+    d = tmp_path / "d.json"
+    _, drawing = od.construct_extremal(3, 3)
+    od.save_drawing(drawing, d)
+    assert main(["double", "--drawing", str(d),
+                 "--out-graph", _missing_dir_path(tmp_path, "g.json"),
+                 "--out-drawing", str(tmp_path / "dd.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_witness_exit_2(tmp_path, capsys):
+    assert main(["search", "--x", "2", "--y", "2",
+                 "--out-witness", _missing_dir_path(tmp_path, "w.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_search_rejects_nonpositive_arguments(capsys):
+    assert main(["search", "--x", "0", "--y", "3"]) == 2
+    assert main(["search", "--x", "3", "--y", "-1"]) == 2
+    assert main(["search", "--x", "2", "--y", "2", "--budget", "0"]) == 2
+    assert main(["search", "--x", "2", "--y", "2", "--budget", "-5"]) == 2
+    assert main(["search", "--x", "2", "--y", "2", "--budget", "nan"]) == 2
+    assert "must be" in capsys.readouterr().err

@@ -128,3 +128,46 @@ def test_graph_document_round_trip(x, y, picks):
     edges = [(i, x + j) for i, j in picks if i < x and j < y]
     g = od.new_bipartite(x, y, edges)
     assert documents.graph_from_document(documents.graph_to_document(g)) == g
+
+
+def _graph_doc(**changes) -> dict:
+    doc = documents.graph_to_document(od.construct_extremal(3, 3)[0])
+    doc.update(changes)
+    return doc
+
+
+def test_bool_count_is_parse_error():
+    with pytest.raises(documents.ParseError):
+        documents.graph_from_document(_graph_doc(x_count=True))
+
+
+def test_bool_edge_entry_is_parse_error():
+    # [true, 2] would otherwise name the valid edge (1, 2) of K2,2
+    doc = _graph_doc(x_count=2, y_count=2, edges=[[0, 2], [True, 2]])
+    with pytest.raises(documents.ParseError):
+        documents.graph_from_document(doc)
+
+
+def test_bool_disk_face_is_parse_error():
+    _, d = od.construct_extremal(4, 6)
+    doc = documents.drawing_to_document(d)
+    assert doc["one_disk_face"] is not None
+    doc["one_disk_face"] = False
+    with pytest.raises(documents.ParseError):
+        documents.drawing_from_document(doc)
+
+
+def test_bool_rotation_neighbor_is_parse_error():
+    doc = documents.drawing_to_document(planar_k22_drawing())
+    # node 1 would otherwise read as neighbour 1 of vertex 2
+    doc["rotation"]["2"] = [0, True]
+    with pytest.raises(documents.ParseError):
+        documents.drawing_from_document(doc)
+
+
+def test_bool_crossing_entry_is_parse_error():
+    _, d = od.construct_extremal(3, 3)
+    doc = documents.drawing_to_document(d)
+    doc["crossings"][0] = [True, doc["crossings"][0][1]]
+    with pytest.raises(documents.ParseError):
+        documents.drawing_from_document(doc)

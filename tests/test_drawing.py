@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onedisk as od
+from onedisk import drawing as drawing_mod
 from onedisk.drawing import Drawing, FaceWalk, rotation_faces
 
 from conftest import (
@@ -29,6 +30,35 @@ def test_face_walk_cyclic_equality():
     assert a != c
     assert a.nodes == (0, 1, 2)
     assert a.visits(2) and not a.visits(3)
+
+
+def _lexmin_rotation(steps):
+    """The reference definition: the lexicographically least rotation."""
+    if not steps:
+        return steps
+    return min(steps[i:] + steps[:i] for i in range(len(steps)))
+
+
+_walks = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), unique=True, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_walks, other=_walks, shift=st.integers(0, 11), data=st.data())
+def test_face_walk_canonical_matches_lexicographic_min(a, other, shift, data):
+    a = tuple(a)
+    wa = FaceWalk(a)
+    assert wa.canonical() == _lexmin_rotation(a)
+    k = shift % len(a) if a else 0
+    rotated = FaceWalk(a[k:] + a[:k])
+    assert rotated == wa and hash(rotated) == hash(wa)
+    # a permutation of the same steps is equal exactly when it is a rotation
+    for b in (tuple(data.draw(st.permutations(a))), tuple(other)):
+        wb = FaceWalk(b)
+        assert (wa == wb) == (_lexmin_rotation(a) == _lexmin_rotation(b))
+        if wa == wb:
+            assert hash(wa) == hash(wb)
+        if len(a) != len(b):
+            assert wa != wb and wb != wa
 
 
 def test_tracer_on_triangle():
@@ -162,6 +192,46 @@ def test_nonplanar_rotation_rejected_at_build_and_trace():
         od.trace_faces(raw)
     assert not od.verify_one_planar(raw)
     assert "NotPlanarEmbedding" in od.verification_failure(raw)
+
+
+def _count_traces(monkeypatch) -> list:
+    calls = []
+    real = drawing_mod.rotation_faces
+
+    def counting(rotation):
+        calls.append(rotation)
+        return real(rotation)
+
+    monkeypatch.setattr(drawing_mod, "rotation_faces", counting)
+    return calls
+
+
+def test_faces_traced_once_per_validated_drawing(tmp_path, monkeypatch):
+    _, d = od.construct_extremal(5, 9)
+    calls = _count_traces(monkeypatch)
+    path = tmp_path / "d.json"
+    od.save_drawing(d, path)
+    assert len(calls) == 0
+    loaded = od.load_drawing(path)
+    assert len(calls) == 1
+    assert od.find_one_disk_face(loaded) is not None
+    assert len(calls) == 1
+    assert od.verification_failure(loaded) is None
+    assert len(calls) == 2
+
+
+def test_stored_faces_leave_equality_and_copies_alone(monkeypatch):
+    _, d = od.construct_extremal(4, 6)
+    bare = Drawing(d.graph, d.crossings, d.rotation)
+    assert bare == d and repr(bare) == repr(d)
+    faces = od.trace_faces(d)
+    faces.clear()
+    assert len(od.trace_faces(d)) == 2 - d.node_count + d.segment_count
+    calls = _count_traces(monkeypatch)
+    assert od.trace_faces(bare) == od.trace_faces(d)
+    assert len(calls) == 1
+    od.trace_faces(dataclasses.replace(d, rotation=dict(d.rotation)))
+    assert len(calls) == 2
 
 
 def test_rotations_are_normalized():

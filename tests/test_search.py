@@ -95,3 +95,11 @@ def test_max_edges_budget_exceeded():
     limits = od.SearchLimits(time_budget=1e-9)
     with pytest.raises(od.BudgetExceeded):
         od.max_edges_one_disk(3, 3, limits)
+
+
+def test_found_without_witness_is_runtime_error(monkeypatch):
+    from onedisk import search
+
+    monkeypatch.setattr(search, "_decide_drawable", lambda *args: (search._FOUND, None))
+    with pytest.raises(RuntimeError, match="without a witness"):
+        od.max_edges_one_disk(2, 2)
