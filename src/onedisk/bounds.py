@@ -116,6 +116,25 @@ def _entry(name: str, applicable: bool, limit, actual: int) -> BoundEntry:
     return BoundEntry(name, True, limit, actual, actual == limit, actual > limit)
 
 
+def ceilings(x: int, y: int, n: int) -> dict[str, int | Fraction | None]:
+    """Every ceiling for parts (x, y) and order n, None outside its domain.
+
+    The names are in report order.  ``problem_target`` is the conjectured
+    target, listed for comparison; it is not a proven ceiling.
+    """
+    parts_ok = 2 <= x <= y
+    return {
+        "one_disk": one_disk_max_edges(x, y) if parts_ok else None,
+        "huang": huang_max_edges(x, y) if parts_ok else None,
+        "czap": czap_max_edges(x, y) if parts_ok else None,
+        "karpov": karpov_max_edges(n) if n >= 4 else None,
+        "planar": classic_max_edges("planar", n) if n >= 3 else None,
+        "bipartite_planar": classic_max_edges("bipartite_planar", n) if n >= 3 else None,
+        "one_planar": classic_max_edges("one_planar", n) if n >= 3 else None,
+        "problem_target": problem_target_edges(x, y) if x >= 2 else None,
+    }
+
+
 def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
     """Evaluate the graph against every ceiling whose hypothesis holds.
 
@@ -126,56 +145,22 @@ def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
     a proven bound.  An applicable-and-violated disk entry would mean a
     bug in this package, not a counterexample.
     """
-    x, y, n = g.x_count, g.y_count, g.vertex_count
     m = len(g.edges)
     verified = d is not None and d.graph == g and verify_one_planar(d)
     one_disk_ok = verified and find_one_disk_face(d) is not None
     planar_ok = verified and crossing_count(d) == 0
-    parts_ok = 2 <= x <= y
-
-    entries = [
-        _entry(
-            "one_disk",
-            one_disk_ok and parts_ok,
-            one_disk_max_edges(x, y) if parts_ok else None,
-            m,
-        ),
-        _entry(
-            "huang",
-            verified and parts_ok,
-            huang_max_edges(x, y) if parts_ok else None,
-            m,
-        ),
-        _entry(
-            "czap",
-            verified and parts_ok,
-            czap_max_edges(x, y) if parts_ok else None,
-            m,
-        ),
-        _entry(
-            "karpov",
-            verified and n >= 4,
-            karpov_max_edges(n) if n >= 4 else None,
-            m,
-        ),
-        _entry(
-            "planar",
-            planar_ok and n >= 3,
-            classic_max_edges("planar", n) if n >= 3 else None,
-            m,
-        ),
-        _entry(
-            "bipartite_planar",
-            planar_ok and n >= 3,
-            classic_max_edges("bipartite_planar", n) if n >= 3 else None,
-            m,
-        ),
-        _entry(
-            "one_planar",
-            verified and n >= 3,
-            classic_max_edges("one_planar", n) if n >= 3 else None,
-            m,
-        ),
-        _entry("problem_target", False, problem_target_edges(x, y) if x >= 2 else None, m),
-    ]
-    return BoundsReport(tuple(entries))
+    evidence = {
+        "one_disk": one_disk_ok,
+        "huang": verified,
+        "czap": verified,
+        "karpov": verified,
+        "planar": planar_ok,
+        "bipartite_planar": planar_ok,
+        "one_planar": verified,
+        "problem_target": False,
+    }
+    table = ceilings(g.x_count, g.y_count, g.vertex_count)
+    return BoundsReport(tuple(
+        _entry(name, evidence[name] and limit is not None, limit, m)
+        for name, limit in table.items()
+    ))

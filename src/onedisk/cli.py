@@ -126,20 +126,10 @@ def _cmd_verify(args) -> int:
 
 
 def _bounds_table(x: int, y: int, n: int) -> dict:
-    table: dict[str, object] = {}
-    table["one_disk"] = bounds_mod.one_disk_max_edges(x, y) if 2 <= x <= y else None
-    table["huang"] = bounds_mod.huang_max_edges(x, y) if 2 <= x <= y else None
-    table["czap"] = bounds_mod.czap_max_edges(x, y) if 2 <= x <= y else None
-    table["karpov"] = bounds_mod.karpov_max_edges(n) if n >= 4 else None
-    table["planar"] = bounds_mod.classic_max_edges("planar", n) if n >= 3 else None
-    table["bipartite_planar"] = (
-        bounds_mod.classic_max_edges("bipartite_planar", n) if n >= 3 else None
-    )
-    table["one_planar"] = bounds_mod.classic_max_edges("one_planar", n) if n >= 3 else None
-    table["problem_target"] = (
-        _fraction_str(bounds_mod.problem_target_edges(x, y)) if x >= 2 else None
-    )
-    return table
+    return {
+        name: _fraction_str(limit) if isinstance(limit, Fraction) else limit
+        for name, limit in bounds_mod.ceilings(x, y, n).items()
+    }
 
 
 def _cmd_bounds(args) -> int:

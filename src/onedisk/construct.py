@@ -9,16 +9,18 @@ and leftover Y vertices are nested onto one hull pair.  The second takes
 any drawing with an all-X face and glues a mirror image to it along the
 X vertices, doubling the edge count while keeping 1-planarity.
 
-Everything geometric happens in a staging builder that records straight
-line positions; rotations fall out of sorting incident segments by
-angle, which keeps the combinatorics impossible to get wrong by hand.
+No coordinates are involved.  The scaffold's rotation system comes from
+the cyclic order of the polygon, each gadget is a fixed rotation template
+spliced into the corners of its triangle, and the nested vertices are
+spliced into the hull corner at vertices 0 and 1.  ``build_drawing``
+then checks the result like any other drawing.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .drawing import (
     Drawing,
@@ -29,8 +31,6 @@ from .drawing import (
     rotation_faces,
 )
 from .graph import BipartiteGraph, Edge, new_bipartite
-
-Point = tuple[float, float]
 
 
 class ConstructError(ValueError):
@@ -50,48 +50,6 @@ class UncoveredRegime(ConstructError):
 
 
 # ---------------------------------------------------------------------------
-# Geometry helpers
-# ---------------------------------------------------------------------------
-
-_ANGLE_GAP = 1e-12
-
-
-def _ccw_order(center: Point, spokes: list[tuple[int, Point]]) -> tuple[int, ...]:
-    """Neighbor ids sorted counterclockwise by bearing from ``center``."""
-    cx, cy = center
-    keyed = sorted((math.atan2(py - cy, px - cx), node) for node, (px, py) in spokes)
-    if len(keyed) > 1:
-        wrapped = keyed + [(keyed[0][0] + 2.0 * math.pi, keyed[0][1])]
-        for (a0, n0), (a1, n1) in zip(wrapped, wrapped[1:]):
-            if a1 - a0 < _ANGLE_GAP:
-                raise RuntimeError(
-                    f"degenerate layout: spokes {n0} and {n1} are collinear"
-                )
-    return tuple(node for _, node in keyed)
-
-
-def _segment_crossing_point(p1: Point, p2: Point, p3: Point, p4: Point) -> Point:
-    """Interior intersection of segments p1p2 and p3p4."""
-    d1x, d1y = p2[0] - p1[0], p2[1] - p1[1]
-    d2x, d2y = p4[0] - p3[0], p4[1] - p3[1]
-    denom = d1x * d2y - d1y * d2x
-    if denom == 0.0:
-        raise RuntimeError("gadget segments are parallel; placement degenerate")
-    rx, ry = p3[0] - p1[0], p3[1] - p1[1]
-    t = (rx * d2y - ry * d2x) / denom
-    s = (rx * d1y - ry * d1x) / denom
-    if not (1e-3 < t < 1.0 - 1e-3 and 1e-3 < s < 1.0 - 1e-3):
-        raise RuntimeError("gadget segments do not cross transversally")
-    return (p1[0] + t * d1x, p1[1] + t * d1y)
-
-
-def _barycentric(corners: tuple[Point, Point, Point], weights) -> Point:
-    (x0, y0), (x1, y1), (x2, y2) = corners
-    w0, w1, w2 = weights
-    return (w0 * x0 + w1 * x1 + w2 * x2, w0 * y0 + w1 * y1 + w2 * y2)
-
-
-# ---------------------------------------------------------------------------
 # Maximal outerplanar scaffolds
 # ---------------------------------------------------------------------------
 
@@ -108,7 +66,6 @@ class OuterplanarSkeleton:
     vertex_count: int
     edges: tuple[Edge, ...]
     rotation: dict[int, tuple[int, ...]]
-    positions: dict[int, Point]
     outer_face: FaceWalk
     triangles: tuple[FaceWalk, ...]
 
@@ -154,6 +111,19 @@ def _seeded_chords(k: int, seed: int) -> list[Edge]:
     return chords
 
 
+def _bearing(k: int, v: int, w: int) -> int:
+    """Direction of the chord v -> w of the regular k-gon, in units of pi/(2k).
+
+    With vertex i at angle 2*pi*i/k the chord points at 2*pi*v/k + pi/2
+    + pi*((w - v) mod k)/k.  The result is taken in (-2k, 2k], that is
+    angles in (-pi, pi]: sorting by it also fixes where each rotation
+    tuple starts, which decides the order of the scaffold's triangles
+    and so the Y vertex ids of the gadgets.
+    """
+    a = (4 * v + k + 2 * ((w - v) % k)) % (4 * k)
+    return a if a <= 2 * k else a - 4 * k
+
+
 def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
     """Triangulate the convex polygon 0..k-1; 2k - 3 edges, k - 2 triangles.
 
@@ -173,15 +143,14 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
 
     hull = [(i, (i + 1) % k) for i in range(k)]
     edges = sorted(tuple(sorted(e)) for e in hull + chords)
-    positions: dict[int, Point] = {
-        i: (math.cos(2.0 * math.pi * i / k), math.sin(2.0 * math.pi * i / k))
-        for i in range(k)
-    }
-    spokes: dict[int, list[tuple[int, Point]]] = {i: [] for i in range(k)}
+    nbrs: dict[int, list[int]] = {i: [] for i in range(k)}
     for u, v in edges:
-        spokes[u].append((v, positions[v]))
-        spokes[v].append((u, positions[u]))
-    rotation = {v: _ccw_order(positions[v], sp) for v, sp in spokes.items()}
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rotation = {
+        v: tuple(sorted(ws, key=lambda w: _bearing(k, v, w)))
+        for v, ws in nbrs.items()
+    }
 
     faces = rotation_faces(rotation)
     if len(faces) != k - 1:
@@ -192,19 +161,12 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
     triangles = tuple(f for f in faces if f is not outer)
     if any(len(t) != 3 for t in triangles):
         raise RuntimeError("scaffold has a non-triangular inner face")
-    return OuterplanarSkeleton(k, tuple(edges), rotation, positions, outer, triangles)
+    return OuterplanarSkeleton(k, tuple(edges), rotation, outer, triangles)
 
 
 # ---------------------------------------------------------------------------
 # Staged drawings and the crossing gadget
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _PlacedCrossing:
-    edge_a: Edge
-    edge_b: Edge
-    point: Point
 
 
 @dataclass(frozen=True)
@@ -216,37 +178,48 @@ class B3Pattern:
     crossings: tuple[tuple[Edge, Edge], ...]
 
 
-# Straight-line template for the gadget: triangle corners plus three
-# interior vertices (as barycentric weights), each joined to all three
-# corners.  Three of the nine segments cross pairwise-disjoint partners;
-# the diagonally opposite interior-corner segments stay clean.
-_GADGET_INTERIOR_WEIGHTS = (
-    (5 / 12, 7 / 24, 7 / 24),
-    (1 / 4, 7 / 16, 5 / 16),
-    (1 / 4, 5 / 16, 7 / 16),
-)
+# The gadget inside a triangle with corners c0, c1, c2 (in the walk order
+# of the triangle's face): interior vertices b0, b1, b2, each joined to
+# all three corners.  Crossing j pairs the edges _GADGET_CROSSING_PAIRS[j]
+# (as (interior, corner) indices) at dummy dj; the diagonally opposite
+# interior-corner edges stay clean.
 _GADGET_CROSSING_PAIRS = (
     ((1, 0), (0, 1)),
     ((2, 0), (0, 2)),
     ((1, 2), (2, 1)),
 )
+# Counterclockwise rotations at the gadget's own nodes.
+_GADGET_ROTATIONS = {
+    "b0": "d0 c0 d1",
+    "b1": "c1 d0 d2",
+    "b2": "d2 d1 c2",
+    "d0": "b1 c1 c0 b0",
+    "d1": "b0 c0 c2 b2",
+    "d2": "c1 b1 b2 c2",
+}
+# Corner ci receives its wedge straight after c(i-1) in its rotation.
+_GADGET_WEDGES = ("d1 b0 d0", "d0 b1 d2", "d2 b2 d1")
 
 
 class DrawingBuilder:
-    """Drawing under construction: a straight-line staging area.
+    """Drawing under construction: a rotation system grown in place.
 
-    Records positions for every vertex and crossing point; the rotation
-    system is derived at the end by sorting incident segments around each
-    node.  Scaffold edges participate in the geometry but are dropped
-    from the finished bipartite drawing.
+    Starts from the scaffold's rotation system; gadgets and nested
+    vertices add nodes with fixed rotations and splice their edges into
+    the rotations of the scaffold vertices.  Dummy nodes are numbered
+    only at the end, once the vertex count is known; until then crossing
+    i is the negative key ``-1 - i``.  Scaffold edges stay in the
+    rotation system and are dropped from the finished bipartite drawing.
     """
 
     def __init__(self, scaffold: OuterplanarSkeleton):
         self._scaffold_count = scaffold.vertex_count
-        self._scaffold_edges = list(scaffold.edges)
-        self._positions: dict[int, Point] = dict(scaffold.positions)
+        self._rotation: dict[int, list[int]] = {
+            v: list(order) for v, order in scaffold.rotation.items()
+        }
+        self._y_count = 0
         self._edges: list[Edge] = []
-        self._crossings: list[_PlacedCrossing] = []
+        self._crossings: list[tuple[Edge, Edge]] = []
         self._pending: list[FaceWalk] = list(scaffold.triangles)
         self._outer = scaffold.outer_face
 
@@ -256,14 +229,12 @@ class DrawingBuilder:
 
     @property
     def y_count(self) -> int:
-        return len(self._positions) - self._scaffold_count
+        return self._y_count
 
-    def position(self, v: int) -> Point:
-        return self._positions[v]
-
-    def add_y_vertex(self, point: Point) -> int:
-        vid = len(self._positions)
-        self._positions[vid] = point
+    def add_y_vertex(self) -> int:
+        vid = self._scaffold_count + self._y_count
+        self._y_count += 1
+        self._rotation[vid] = []
         return vid
 
     def add_edge(self, u: int, v: int) -> Edge:
@@ -271,8 +242,21 @@ class DrawingBuilder:
         self._edges.append(e)
         return e
 
-    def add_crossing(self, edge_a: Edge, edge_b: Edge, point: Point) -> None:
-        self._crossings.append(_PlacedCrossing(edge_a, edge_b, point))
+    def add_crossing(self, edge_a: Edge, edge_b: Edge) -> int:
+        """Record a crossing; returns the key of its dummy node."""
+        key = -1 - len(self._crossings)
+        self._crossings.append((edge_a, edge_b))
+        self._rotation[key] = []
+        return key
+
+    def set_rotation(self, node: int, order: Sequence[int]) -> None:
+        self._rotation[node] = list(order)
+
+    def splice(self, v: int, after: int, wedge: Sequence[int]) -> None:
+        """Insert ``wedge`` into the rotation at ``v`` straight after ``after``."""
+        order = self._rotation[v]
+        i = order.index(after) + 1
+        order[i:i] = wedge
 
     def claim_triangle(self, face: FaceWalk) -> FaceWalk:
         """Remove and return the matching open inner triangle."""
@@ -286,71 +270,54 @@ class DrawingBuilder:
         raise NotATriangle("face is not an open inner triangle of this scaffold")
 
     def derive_rotation(self, include_scaffold: bool = False) -> dict[int, tuple[int, ...]]:
-        """Rotation system for the current geometry, by angular sort."""
-        edges = list(self._edges)
-        if include_scaffold:
-            edges += self._scaffold_edges
-        n = len(self._positions)
-        crossed: dict[Edge, int] = {}
-        for i, pc in enumerate(self._crossings):
-            crossed[pc.edge_a] = n + i
-            crossed[pc.edge_b] = n + i
-        spokes: dict[int, list[tuple[int, Point]]] = {v: [] for v in self._positions}
-        centers: dict[int, Point] = dict(self._positions)
-        for i, pc in enumerate(self._crossings):
-            spokes[n + i] = []
-            centers[n + i] = pc.point
-        for e in edges:
-            u, v = e
-            if e in crossed:
-                d = crossed[e]
-                spokes[u].append((d, centers[d]))
-                spokes[v].append((d, centers[d]))
-                spokes[d].append((u, centers[u]))
-                spokes[d].append((v, centers[v]))
-            else:
-                spokes[u].append((v, centers[v]))
-                spokes[v].append((u, centers[u]))
-        return {v: _ccw_order(centers[v], sp) for v, sp in spokes.items()}
+        """The rotation system so far, with dummies numbered n + i."""
+        n = self._scaffold_count + self._y_count
+        xs = range(self._scaffold_count)
+
+        def node(key: int) -> int:
+            return key if key >= 0 else n - 1 - key
+
+        return {
+            node(v): tuple(
+                node(u) for u in order if include_scaffold or not (v in xs and u in xs)
+            )
+            for v, order in self._rotation.items()
+        }
 
     def finish(self) -> tuple[BipartiteGraph, Drawing]:
         """Drop the scaffold edges and assemble the validated drawing."""
         g = new_bipartite(self._scaffold_count, self.y_count, self._edges)
         rotation = self.derive_rotation(include_scaffold=False)
-        pairs = [(pc.edge_a, pc.edge_b) for pc in self._crossings]
-        return g, build_drawing(g, pairs, rotation)
+        return g, build_drawing(g, self._crossings, rotation)
 
 
 def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> B3Pattern:
     """Place the crossing gadget inside one open inner triangle.
 
     Adds three Y vertices joined to all three corners (nine edges) and
-    the gadget's three crossings, positioned so everything stays strictly
-    inside the triangle.  The triangle is consumed; inserting into the
-    outer face, a filled triangle, or any other walk raises NotATriangle.
+    the gadget's three crossings, spliced into the corners' rotations
+    between the triangle's sides.  The triangle is consumed; inserting
+    into the outer face, a filled triangle, or any other walk raises
+    NotATriangle.
     """
     claimed = builder.claim_triangle(triangle)
     corners = claimed.nodes
-    corner_pts = tuple(builder.position(c) for c in corners)
-    interior = tuple(
-        builder.add_y_vertex(_barycentric(corner_pts, w)) for w in _GADGET_INTERIOR_WEIGHTS
-    )
+    interior = tuple(builder.add_y_vertex() for _ in range(3))
     edge_of: dict[tuple[int, int], Edge] = {}
     for bi, b in enumerate(interior):
         for ci, c in enumerate(corners):
             edge_of[(bi, ci)] = builder.add_edge(c, b)
-    crossings: list[tuple[Edge, Edge]] = []
-    for (bi1, ci1), (bi2, ci2) in _GADGET_CROSSING_PAIRS:
-        e1, e2 = edge_of[(bi1, ci1)], edge_of[(bi2, ci2)]
-        point = _segment_crossing_point(
-            builder.position(interior[bi1]),
-            corner_pts[ci1],
-            builder.position(interior[bi2]),
-            corner_pts[ci2],
-        )
-        builder.add_crossing(e1, e2, point)
-        crossings.append((e1, e2))
-    return B3Pattern(corners, interior, tuple(crossings))
+    crossings = tuple((edge_of[a], edge_of[b]) for a, b in _GADGET_CROSSING_PAIRS)
+    dummies = [builder.add_crossing(ea, eb) for ea, eb in crossings]
+
+    ids = {}
+    for i in range(3):
+        ids[f"c{i}"], ids[f"b{i}"], ids[f"d{i}"] = corners[i], interior[i], dummies[i]
+    for name, order in _GADGET_ROTATIONS.items():
+        builder.set_rotation(ids[name], [ids[t] for t in order.split()])
+    for i, wedge in enumerate(_GADGET_WEDGES):
+        builder.splice(corners[i], corners[i - 1], [ids[t] for t in wedge.split()])
+    return B3Pattern(corners, interior, crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +338,19 @@ def _two_column(y: int) -> tuple[BipartiteGraph, Drawing]:
 def _attach_nested_pair(builder: DrawingBuilder, count: int) -> list[int]:
     """Nest ``count`` degree-2 Y vertices onto hull vertices 0 and 1.
 
-    They sit outside the hull along the bisector of the arc 0-1, stacked
-    outward, so their edges neither cross anything nor block any hull
-    vertex from the unbounded face.
+    They sit in the unbounded face beside the hull edge 0-1, w1 innermost,
+    so their edges neither cross anything nor block any hull vertex from
+    the unbounded face.
     """
-    k = builder.scaffold_count
-    mid = math.pi / k
     added = []
-    for i in range(count):
-        r = 1.0 + 0.35 * (i + 1)
-        w = builder.add_y_vertex((r * math.cos(mid), r * math.sin(mid)))
+    for _ in range(count):
+        w = builder.add_y_vertex()
         builder.add_edge(0, w)
         builder.add_edge(1, w)
+        builder.set_rotation(w, (0, 1))
         added.append(w)
+    builder.splice(0, builder.scaffold_count - 1, added[::-1])
+    builder.splice(1, 0, added)
     return added
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import BipartiteGraph, Edge
+from .graph import BipartiteGraph, Edge, reachable
 
 
 class DrawingError(ValueError):
@@ -124,18 +124,18 @@ def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
     Requires a symmetric adjacency (u in rotation[v] iff v in rotation[u])
-    with no repeated neighbors; raises ValueError otherwise.  Every
-    directed segment side lands in exactly one returned walk.
+    with no repeated neighbors; raises IncompleteRotation otherwise.
+    Every directed segment side lands in exactly one returned walk.
     """
     succ: dict[int, dict[int, int]] = {}
     for v, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs):
-            raise ValueError(f"rotation at {v} repeats a neighbor")
+            raise IncompleteRotation(f"rotation at {v} repeats a neighbor")
         succ[v] = {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
     for v, nbrs in rotation.items():
         for u in nbrs:
             if u not in succ or v not in succ[u]:
-                raise ValueError(f"segment ({v}, {u}) has no reverse side")
+                raise IncompleteRotation(f"segment ({v}, {u}) has no reverse side")
 
     faces: list[FaceWalk] = []
     visited: set[Step] = set()
@@ -284,14 +284,7 @@ def _validate_structure(
             )
 
     start = next(iter(adj))
-    seen = {start}
-    queue = [start]
-    while queue:
-        v = queue.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
+    seen = reachable(adj, start)
     if len(seen) != len(adj):
         raise DisconnectedPlanarization(
             f"planarization has {len(adj) - len(seen)} node(s) unreachable from {start}"
@@ -350,20 +343,15 @@ def verification_failure(d: Drawing) -> str | None:
     """Reason the drawing fails 1-planar verification, or None if it passes.
 
     Re-checks everything from the raw fields, so it also catches objects
-    assembled or mutated outside build_drawing.  It ignores any faces
+    assembled or mutated outside build_drawing; each crossing must be in
+    the normal form build_drawing gives it.  It ignores any faces
     stored by build_drawing and traces the rotation itself.
     """
     try:
-        n = d.graph.vertex_count
-        edge_set = set(d.graph.edges)
-        for i, c in enumerate(d.crossings):
-            if c.dummy != n + i:
-                raise DrawingError(f"crossing {i} has dummy id {c.dummy}, expected {n + i}")
-            if set(c.edge_a) & set(c.edge_b):
-                raise AdjacentEdgesCross(f"edges {c.edge_a} and {c.edge_b} share an endpoint")
-            for e in (c.edge_a, c.edge_b):
-                if e not in edge_set:
-                    raise DrawingError(f"crossing {i} references missing edge {e}")
+        normal = _normalize_crossings(d.graph, d.crossings)
+        for i, (c, norm) in enumerate(zip(d.crossings, normal)):
+            if c != norm:
+                raise DrawingError(f"crossing {i} is {c}, not in its normal form {norm}")
         _validate_structure(d.graph, d.crossings, d.rotation)
         _checked_faces(d.rotation, d.node_count, d.segment_count)
     except (DrawingError, ValueError) as err:

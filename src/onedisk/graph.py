@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
 
@@ -99,3 +100,16 @@ def new_bipartite(x_count: int, y_count: int, edges) -> BipartiteGraph:
 def edge_count(g: BipartiteGraph) -> int:
     """|E(G)|."""
     return len(g.edges)
+
+
+def reachable(adjacency: Mapping[int, Iterable[int]], start: int) -> set[int]:
+    """Every node reachable from ``start`` in the adjacency map, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in adjacency[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen

@@ -7,8 +7,9 @@ part sizes.  The search is independent of the constructions: candidate
 crossing sets are all matchings of pairwise independent edge pairs,
 dummy rotations are the two alternating orders, original vertices try
 every cyclic order, and a candidate survives only if face tracing
-satisfies Euler's formula.  Whatever it finds is re-verified through the
-drawing module before being returned.
+satisfies Euler's formula.  Whatever it finds is re-verified by
+``build_drawing``, which checks the witness from scratch (structure,
+alternation at every dummy, Euler's formula), before being returned.
 
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .bounds import one_disk_max_edges
-from .drawing import Drawing, build_drawing, find_one_disk_face, verify_one_planar
-from .graph import BipartiteGraph, Edge, new_bipartite
+from .drawing import Drawing, build_drawing, find_one_disk_face
+from .graph import BipartiteGraph, Edge, new_bipartite, reachable
 
 
 class BudgetExceeded(RuntimeError):
@@ -91,15 +92,7 @@ def _is_connected(g: BipartiteGraph) -> bool:
     for u, v in g.edges:
         adj[u].add(v)
         adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.vertex_count
+    return len(reachable(adj, 0)) == g.vertex_count
 
 
 def _rotation_candidates(nbrs: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -203,7 +196,7 @@ def _decide_drawable(
                 continue
             rotation = {v: assignment[v][0] for v in nodes}
             witness = build_drawing(g, crossing_pairs, rotation)
-            if verify_one_planar(witness) and find_one_disk_face(witness) is not None:
+            if find_one_disk_face(witness) is not None:
                 return _FOUND, witness
     return (_UNKNOWN, None) if truncated else (_NO, None)
 

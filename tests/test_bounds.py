@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onedisk as od
+from onedisk.bounds import ceilings
 
 from conftest import k33, no_disk_k33_drawing, planar_k22_drawing
 
@@ -183,3 +184,12 @@ def test_entry_invariants():
             assert entry.applicable
         if entry.tight:
             assert entry.actual == entry.limit
+
+
+def test_ceilings_table_matches_report():
+    for x, y in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 6), (5, 9)]:
+        g = od.new_bipartite(x, y, [(0, x)])
+        table = ceilings(x, y, x + y)
+        report = od.check(g)
+        assert list(table) == [e.name for e in report.entries]
+        assert list(table.values()) == [e.limit for e in report.entries]

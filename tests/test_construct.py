@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import onedisk as od
 from onedisk.construct import DrawingBuilder
@@ -55,6 +56,29 @@ def test_seeded_skeleton_deterministic():
     a = od.maximal_outerplanar(8, "seed:42")
     b = od.maximal_outerplanar(8, "seed:42")
     assert a.edges == b.edges
+
+
+_strategies = st.one_of(
+    st.sampled_from(["fan", "zigzag"]),
+    st.integers(0, 10**6).map(lambda n: f"seed:{n}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(3, 60), strategy=_strategies)
+def test_skeleton_rotation_is_polygon_order(k, strategy):
+    s = od.maximal_outerplanar(k, strategy)
+    for v, order in s.rotation.items():
+        expected = sorted(order, key=lambda w: (w - v) % k)
+        i = order.index(expected[0])
+        assert order[i:] + order[:i] == tuple(expected), (v, order)
+
+
+def test_skeleton_rotation_starts_past_the_half_turn():
+    # For even k the chord 0 -> k/2 points exactly at angle pi, the last
+    # bearing of the range (-pi, pi]; the rotation starts after it.
+    order = od.maximal_outerplanar(26, "fan").rotation[0]
+    assert order[0] == 14 and order[-1] == 13
 
 
 def test_k_too_small():

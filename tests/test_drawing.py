@@ -73,6 +73,19 @@ def test_tracer_rejects_asymmetric_rotation():
         rotation_faces({0: (1,), 1: ()})
 
 
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        {0: (1, 1), 1: (0,)},  # repeated neighbor
+        {0: (1, 2), 1: (0,), 2: ()},  # segment (0, 2) has no reverse side
+    ],
+)
+def test_tracer_raises_incomplete_rotation(rotation):
+    with pytest.raises(od.IncompleteRotation) as err:
+        rotation_faces(rotation)
+    assert isinstance(err.value, ValueError)
+
+
 def test_tracer_k5_rotation_never_planar():
     # Any rotation system of K5 misses Euler's count F = 2 - 5 + 10 = 7.
     rotation = {v: tuple(u for u in range(5) if u != v) for v in range(5)}
@@ -168,7 +181,7 @@ def test_incomplete_rotation_rejected():
 def test_disconnected_planarization_rejected():
     g = od.new_bipartite(2, 2, [(0, 2), (1, 3)])
     rotation = {0: (2,), 2: (0,), 1: (3,), 3: (1,)}
-    with pytest.raises(od.DisconnectedPlanarization):
+    with pytest.raises(od.DisconnectedPlanarization, match=r"2 node\(s\) unreachable"):
         od.build_drawing(g, [], rotation)
 
 
@@ -261,6 +274,19 @@ def test_verify_rejects_tampered_copy():
     tampered = dataclasses.replace(d, crossings=doubled_crossings)
     assert not od.verify_one_planar(tampered)
     assert "dummy" in od.verification_failure(tampered) or "Edge" in od.verification_failure(tampered)
+
+
+@pytest.mark.parametrize("reverse_edge", [True, False])
+def test_verify_rejects_crossing_out_of_normal_form(reverse_edge):
+    _, d = od.construct_extremal(3, 3)
+    c = d.crossings[0]
+    if reverse_edge:
+        bad = dataclasses.replace(c, edge_a=c.edge_a[::-1])
+    else:
+        bad = dataclasses.replace(c, edge_a=c.edge_b, edge_b=c.edge_a)
+    tampered = dataclasses.replace(d, crossings=(bad,) + d.crossings[1:])
+    assert "crossing 0" in od.verification_failure(tampered)
+    assert "normal form" in od.verification_failure(tampered)
 
 
 def test_verify_rejects_mutated_rotation():
