@@ -120,6 +120,34 @@ class FaceWalk:
         return all(v in here for v in nodes)
 
 
+def _successors(nbrs: Sequence[int]) -> dict[int, int]:
+    """Map each neighbor to the one after it in the cyclic order ``nbrs``.
+    The keys keep the order of ``nbrs``."""
+    return {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
+
+
+def _walk_faces(succ, sides: Iterable[Step]) -> list[tuple[Step, ...]]:
+    """The successor walk: each face, in the order ``sides`` first meets it.
+
+    ``succ[v][u]`` is the neighbor after u in the cyclic order at v, and
+    ``sides`` lists every directed segment side; nothing is checked.  Walks
+    are tuples: lists held to the end of a long trace slow every gc pass.
+    """
+    faces: list[tuple[Step, ...]] = []
+    visited: set[Step] = set()
+    for step in sides:
+        if step in visited:
+            continue
+        walk: list[Step] = []
+        while step not in visited:
+            visited.add(step)
+            walk.append(step)
+            a, b = step
+            step = (b, succ[b][a])
+        faces.append(tuple(walk))
+    return faces
+
+
 def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
@@ -131,27 +159,13 @@ def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     for v, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs):
             raise IncompleteRotation(f"rotation at {v} repeats a neighbor")
-        succ[v] = {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
+        succ[v] = _successors(nbrs)
     for v, nbrs in rotation.items():
         for u in nbrs:
             if u not in succ or v not in succ[u]:
                 raise IncompleteRotation(f"segment ({v}, {u}) has no reverse side")
-
-    faces: list[FaceWalk] = []
-    visited: set[Step] = set()
-    for v in sorted(rotation):
-        for u in rotation[v]:
-            if (v, u) in visited:
-                continue
-            walk: list[Step] = []
-            step = (v, u)
-            while step not in visited:
-                visited.add(step)
-                walk.append(step)
-                a, b = step
-                step = (b, succ[b][a])
-            faces.append(FaceWalk(tuple(walk)))
-    return faces
+    sides = [(v, u) for v in sorted(rotation) for u in rotation[v]]
+    return [FaceWalk(walk) for walk in _walk_faces(succ, sides)]
 
 
 # ---------------------------------------------------------------------------

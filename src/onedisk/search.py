@@ -7,15 +7,15 @@ part sizes.  The search is independent of the constructions: candidate
 crossing sets are all matchings of pairwise independent edge pairs,
 dummy rotations are the two alternating orders, original vertices try
 every cyclic order, and a candidate survives only if face tracing
-satisfies Euler's formula.  Whatever it finds is re-verified by
-``build_drawing``, which checks the witness from scratch (structure,
-alternation at every dummy, Euler's formula), before being returned.
+satisfies Euler's formula.  Planarizations and face walks come from
+:mod:`onedisk.drawing`, and whatever the search finds is re-verified by
+``build_drawing`` (structure, alternation at every dummy, Euler's
+formula) before being returned.
 
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
-maximum.  Exhaustion is tracked honestly; when limits truncate the
-search before a definite answer, BudgetExceeded is raised rather than
-reporting a false "no".
+maximum.  The time budget is the only limit: every answer comes from an
+exhausted search, and BudgetExceeded is raised if the deadline comes first.
 """
 
 from __future__ import annotations
@@ -25,25 +25,31 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from .bounds import one_disk_max_edges
-from .drawing import Drawing, build_drawing, find_one_disk_face
+from .drawing import (
+    Drawing,
+    _normalize_crossings,
+    _planarization_adjacency,
+    _successors,
+    _walk_faces,
+    build_drawing,
+    find_one_disk_face,
+)
 from .graph import BipartiteGraph, Edge, new_bipartite, reachable
 
 
 class BudgetExceeded(RuntimeError):
-    """Search limits ran out before the question was settled."""
+    """The time budget ran out before the question was settled."""
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps on the enumeration; all must be positive."""
+    """The search's time budget in seconds; it must be positive."""
 
-    max_crossings: int = 8
-    max_rotation_nodes: int = 16
     time_budget: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.max_crossings <= 0 or self.max_rotation_nodes <= 0 or self.time_budget <= 0:
-            raise ValueError("all search limits must be positive")
+        if self.time_budget <= 0:
+            raise ValueError("the time budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,12 @@ class SearchOutcome:
     exhausted: bool
 
 
-_FOUND, _NO, _UNKNOWN = "found", "no", "unknown"
+# The inner loops read the clock once every _TICK iterations.
+_TICK = 4096
+
+
+def _out_of_time(limits: SearchLimits, doing: str) -> BudgetExceeded:
+    return BudgetExceeded(f"time budget of {limits.time_budget}s exhausted {doing}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,42 +74,32 @@ _FOUND, _NO, _UNKNOWN = "found", "no", "unknown"
 # ---------------------------------------------------------------------------
 
 
-def _independent_pairs(edges: tuple[Edge, ...]) -> list[tuple[int, int]]:
-    pairs = []
-    for i, j in combinations(range(len(edges)), 2):
-        if not set(edges[i]) & set(edges[j]):
-            pairs.append((i, j))
-    return pairs
+def _matchings(edges: tuple[Edge, ...]):
+    """All sets of pairwise disjoint pairs of independent edges, as index
+    pairs (i, j) with i < j, by size and then lexicographically.  Edges are
+    (x, y) pairs, so two are independent when both ends differ."""
+    pairs = [(i, j) for i, j in combinations(range(len(edges)), 2)
+             if edges[i][0] != edges[j][0] and edges[i][1] != edges[j][1]]
 
+    def extend(chosen: tuple, start: int, used: frozenset, size: int):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for k in range(start, len(pairs)):
+            i, j = pairs[k]
+            if i not in used and j not in used:
+                yield from extend(chosen + ((i, j),), k + 1, used | {i, j}, size)
 
-def _matchings(pairs: list[tuple[int, int]], max_size: int):
-    """All sets of pairwise edge-disjoint pairs, in (size, lex) order."""
-    yield ()
-    for size in range(1, max_size + 1):
-        for combo in combinations(pairs, size):
-            used: set[int] = set()
-            ok = True
-            for i, j in combo:
-                if i in used or j in used:
-                    ok = False
-                    break
-                used.update((i, j))
-            if ok:
-                yield combo
+    for size in range(len(edges) // 2 + 1):
+        yield from extend((), 0, frozenset(), size)
 
 
 def _is_connected(g: BipartiteGraph) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in range(g.vertex_count)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return len(reachable(adj, 0)) == g.vertex_count
+    return len(reachable(_planarization_adjacency(g, ()), 0)) == g.vertex_count
 
 
 def _rotation_candidates(nbrs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All distinct cyclic orders of the neighbor set, lexicographically."""
-    if len(nbrs) <= 2:
-        return [nbrs]
+    """All distinct cyclic orders of the (nonempty) neighbor set, lexicographically."""
     first, rest = nbrs[0], nbrs[1:]
     return [(first,) + perm for perm in permutations(rest)]
 
@@ -116,89 +117,40 @@ def _dummy_candidates(edge_a: Edge, edge_b: Edge) -> list[tuple[int, int, int, i
 
 def _decide_drawable(
     g: BipartiteGraph, limits: SearchLimits, deadline: float
-) -> tuple[str, Drawing | None]:
-    """Tri-state core: found / no / unknown, plus the verified witness."""
+) -> Drawing | None:
+    """The first verified witness in enumeration order, or None when the
+    exhausted search has none; BudgetExceeded when the deadline passes."""
     edges = g.edges
-    n = g.vertex_count
     xs = frozenset(range(g.x_count))
-    pairs = _independent_pairs(edges)
-    full_cap = len(edges) // 2 if pairs else 0
-    cap = min(full_cap, limits.max_crossings, max(limits.max_rotation_nodes - n, 0))
-    truncated = cap < full_cap
 
-    for matching in _matchings(pairs, cap):
+    for matching in _matchings(edges):
         if time.monotonic() > deadline:
-            raise BudgetExceeded(
-                f"time budget of {limits.time_budget}s exhausted while testing "
-                f"{len(edges)}-edge graph"
-            )
-        c = len(matching)
-        crossing_pairs = [(edges[i], edges[j]) for i, j in matching]
-        crossed: dict[int, int] = {}
-        for di, (i, j) in enumerate(matching):
-            crossed[i] = n + di
-            crossed[j] = n + di
+            raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
+        crossings = _normalize_crossings(g, [(edges[i], edges[j]) for i, j in matching])
+        adj = _planarization_adjacency(g, crossings)
+        candidates = [_rotation_candidates(tuple(sorted(adj[v]))) for v in range(g.vertex_count)]
+        candidates += [_dummy_candidates(c.edge_a, c.edge_b) for c in crossings]
+        succ_options = [[_successors(rot) for rot in cand] for cand in candidates]
+        sides = [(v, u) for v, nbrs in adj.items() for u in nbrs]
+        target_faces = 2 - len(adj) + len(sides) // 2
 
-        adj: dict[int, list[int]] = {v: [] for v in range(n + c)}
-        for ei, (u, v) in enumerate(edges):
-            if ei in crossed:
-                dnode = crossed[ei]
-                adj[u].append(dnode)
-                adj[v].append(dnode)
-                adj[dnode].append(u)
-                adj[dnode].append(v)
-            else:
-                adj[u].append(v)
-                adj[v].append(u)
-
-        nodes = list(range(n + c))
-        candidates: list[list[tuple[int, ...]]] = []
-        for v in nodes:
-            if v < n:
-                candidates.append(_rotation_candidates(tuple(sorted(adj[v]))))
-            else:
-                ea, eb = crossing_pairs[v - n]
-                candidates.append(_dummy_candidates(ea, eb))
-        succ_options = [
-            [(rot, {u: rot[(i + 1) % len(rot)] for i, u in enumerate(rot)}) for rot in cand]
-            for cand in candidates
-        ]
-
-        dir_edges = [(v, u) for v in nodes for u in adj[v]]
-        target_faces = 2 - (n + c) + len(dir_edges) // 2
-        if target_faces < 1:
-            continue
-
-        tick = 0
-        for assignment in product(*succ_options):
-            tick += 1
-            if tick % 4096 == 0 and time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"time budget of {limits.time_budget}s exhausted mid-enumeration"
-                )
-            succ = [choice[1] for choice in assignment]
-            visited: set[tuple[int, int]] = set()
-            faces: list[list[tuple[int, int]]] = []
-            for e0 in dir_edges:
-                if e0 in visited:
-                    continue
-                walk = []
-                e = e0
-                while e not in visited:
-                    visited.add(e)
-                    walk.append(e)
-                    u, v = e
-                    e = (v, succ[v][u])
-                faces.append(walk)
+        for tick, succ in enumerate(product(*succ_options), 1):
+            if tick % _TICK == 0 and time.monotonic() > deadline:
+                raise _out_of_time(limits, "mid-enumeration")
+            faces = _walk_faces(succ, sides)
             if len(faces) != target_faces:
                 continue
             if not any(xs <= {u for u, _ in walk} for walk in faces):
                 continue
-            rotation = {v: assignment[v][0] for v in nodes}
-            witness = build_drawing(g, crossing_pairs, rotation)
-            if find_one_disk_face(witness) is not None:
-                return _FOUND, witness
-    return (_UNKNOWN, None) if truncated else (_NO, None)
+            rotation = {v: tuple(succ[v]) for v in adj}
+            witness = build_drawing(g, crossings, rotation)
+            if find_one_disk_face(witness) is None:
+                raise RuntimeError(
+                    f"the search saw a face touching every X vertex that "
+                    f"build_drawing does not trace for the {len(edges)}-edge graph"
+                )
+            return witness
+    return None
 
 
 def is_one_disk_drawable(
@@ -208,21 +160,14 @@ def is_one_disk_drawable(
 
     Returns the first witness in the deterministic enumeration order
     (fewest crossings first, then lexicographic crossing sets and
-    rotations), None if the exhaustive search proves none exists, and
-    raises BudgetExceeded when limits cut the search short.
+    rotations), or None once the exhaustive search proves none exists.
+    The time budget is the only limit: BudgetExceeded is raised when it
+    runs out before the search is exhausted.
     """
     limits = limits or SearchLimits()
     if not _is_connected(g):
         raise ValueError("drawability search expects a connected graph")
-    deadline = time.monotonic() + limits.time_budget
-    status, witness = _decide_drawable(g, limits, deadline)
-    if status == _FOUND:
-        return witness
-    if status == _NO:
-        return None
-    raise BudgetExceeded(
-        f"crossing budget truncated the search for the {len(g.edges)}-edge graph"
-    )
+    return _decide_drawable(g, limits, time.monotonic() + limits.time_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +175,20 @@ def is_one_disk_drawable(
 # ---------------------------------------------------------------------------
 
 
-def _canonical_edges(x: int, y: int, chosen: tuple[Edge, ...]) -> tuple[Edge, ...]:
+def _canonical_edges(
+    x: int, y: int, chosen: tuple[Edge, ...], limits: SearchLimits, deadline: float
+) -> tuple[Edge, ...]:
     """Least adjacency matrix over part-preserving relabelings."""
     matrix = [[0] * y for _ in range(x)]
     for u, v in chosen:
         matrix[u][v - x] = 1
     best: tuple[tuple[int, ...], ...] | None = None
+    tick = 0
     for rows in permutations(range(x)):
         for cols in permutations(range(y)):
+            tick += 1
+            if tick % _TICK == 0 and time.monotonic() > deadline:
+                raise _out_of_time(limits, f"relabeling a {len(chosen)}-edge candidate")
             candidate = tuple(tuple(matrix[r][c] for c in cols) for r in rows)
             if best is None or candidate < best:
                 best = candidate
@@ -254,7 +205,7 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
     and filtered to connected graphs.  The first level with a drawable
     candidate is the maximum; the proven ceiling caps the starting level
     and a witness above it would abort the run.  Raises BudgetExceeded
-    when a level cannot be settled within limits.
+    when the time budget runs out first.
     """
     limits = limits or SearchLimits()
     if x < 1 or y < 1:
@@ -266,32 +217,21 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
 
     for m in range(start, 0, -1):
         seen: set[tuple[Edge, ...]] = set()
-        unsettled = False
         for combo in combinations(all_pairs, m):
             if time.monotonic() > deadline:
-                raise BudgetExceeded(
-                    f"time budget of {limits.time_budget}s exhausted at {m} edges"
-                )
-            canon = _canonical_edges(x, y, combo)
+                raise _out_of_time(limits, f"at {m} edges")
+            canon = _canonical_edges(x, y, combo, limits, deadline)
             if canon in seen:
                 continue
             seen.add(canon)
             g = new_bipartite(x, y, canon)
             if not _is_connected(g):
                 continue
-            status, witness = _decide_drawable(g, limits, deadline)
-            if status == _FOUND:
-                if witness is None:
-                    raise RuntimeError(f"drawable {m}-edge graph came without a witness")
+            witness = _decide_drawable(g, limits, deadline)
+            if witness is not None:
                 if m > ceiling:
                     raise RuntimeError(
                         f"witness with {m} edges exceeds the proven ceiling {ceiling}"
                     )
                 return SearchOutcome(m, witness, exhausted=True)
-            if status == _UNKNOWN:
-                unsettled = True
-        if unsettled:
-            raise BudgetExceeded(
-                f"limits truncated the search at the {m}-edge level"
-            )
     return SearchOutcome(0, None, exhausted=True)

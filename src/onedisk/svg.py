@@ -11,9 +11,14 @@ degenerate layouts are tolerated.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .drawing import Drawing, NoOneDiskFace, find_one_disk_face
+
+_SIZE = 640.0
+_MARGIN = 60.0
+_ITERATIONS = 300
 
 _STYLE = (
     ".edge { stroke: #3b6fc4; stroke-width: 1.6; fill: none; }\n"
@@ -23,9 +28,7 @@ _STYLE = (
 )
 
 
-def _layout(d: Drawing, size: float, margin: float, iterations: int) -> dict[int, tuple[float, float]]:
-    import math
-
+def _layout(d: Drawing) -> dict[int, tuple[float, float]]:
     disk = find_one_disk_face(d)
     if disk is None:
         raise NoOneDiskFace("cannot lay out a drawing without a face touching all X")
@@ -34,8 +37,8 @@ def _layout(d: Drawing, size: float, margin: float, iterations: int) -> dict[int
         if node < d.graph.x_count and node not in boundary:
             boundary.append(node)
 
-    center = size / 2.0
-    radius = size / 2.0 - margin
+    center = _SIZE / 2.0
+    radius = _SIZE / 2.0 - _MARGIN
     pos: dict[int, tuple[float, float]] = {}
     for slot, v in enumerate(boundary):
         angle = -math.pi / 2.0 + 2.0 * math.pi * slot / len(boundary)
@@ -43,7 +46,7 @@ def _layout(d: Drawing, size: float, margin: float, iterations: int) -> dict[int
     interior = [v for v in d.rotation if v not in pos]
     for v in interior:
         pos[v] = (center, center)
-    for _ in range(iterations):
+    for _ in range(_ITERATIONS):
         for v in interior:
             nbrs = d.rotation[v]
             if not nbrs:
@@ -54,8 +57,7 @@ def _layout(d: Drawing, size: float, margin: float, iterations: int) -> dict[int
     return pos
 
 
-def export_svg(d: Drawing, path, *, size: float = 640.0, margin: float = 60.0,
-               iterations: int = 300) -> None:
+def export_svg(d: Drawing, path) -> None:
     """Write the drawing as an SVG file.
 
     Each graph edge becomes one path (two joined segments through its
@@ -64,12 +66,12 @@ def export_svg(d: Drawing, path, *, size: float = 640.0, margin: float = 60.0,
     points with no marker.  Raises NoOneDiskFace when the drawing has no
     face incident to every X vertex.
     """
-    pos = _layout(d, size, margin, iterations)
+    pos = _layout(d)
     crossed = d.crossed_edges()
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:g}" height="{size:g}" '
-        f'viewBox="0 0 {size:g} {size:g}" version="1.1">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:g}" height="{_SIZE:g}" '
+        f'viewBox="0 0 {_SIZE:g} {_SIZE:g}" version="1.1">',
         f"  <style>\n    {_STYLE}\n  </style>",
     ]
     for e in d.graph.edges:
