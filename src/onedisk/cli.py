@@ -18,6 +18,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -221,7 +222,13 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged, so one instance serves every
+    ``main`` call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="onedisk",
         description="construct, verify, bound, and search 1-planar disk drawings "

@@ -397,14 +397,15 @@ class DoublingResult:
     drawing_star: Drawing
 
 
-def _disk_gap(walk: FaceWalk, v: int) -> tuple[int, int]:
-    """Neighbors (p, q) bounding the first visit of the walk at v."""
+def _disk_gaps(walk: FaceWalk, x_count: int) -> dict[int, tuple[int, int]]:
+    """Neighbors (p, q) bounding the first visit of the walk at each X vertex
+    it visits, found in one pass over the walk."""
     steps = walk.steps
-    for j, (_, b) in enumerate(steps):
-        if b == v:
-            nxt = steps[(j + 1) % len(steps)]
-            return steps[j][0], nxt[1]
-    raise NoOneDiskFace(f"X vertex {v} does not lie on the disk face")
+    gaps: dict[int, tuple[int, int]] = {}
+    for j, (p, v) in enumerate(steps):
+        if v < x_count and v not in gaps:
+            gaps[v] = (p, steps[(j + 1) % len(steps)][1])
+    return gaps
 
 
 def double(d: Drawing) -> DoublingResult:
@@ -447,8 +448,9 @@ def double(d: Drawing) -> DoublingResult:
     for v in range(x, n + c):
         rot[keep(v)] = tuple(keep(w) for w in d.rotation[v])
         rot[mirror(v)] = tuple(mirror(w) for w in reversed(d.rotation[v]))
+    gaps = _disk_gaps(disk, x)
     for v in range(x):
-        p, q = _disk_gap(disk, v)
+        p, q = gaps[v]
         r = d.rotation[v]
         i = r.index(q)
         linear = r[i:] + r[:i]

@@ -21,14 +21,24 @@ rejected with ParseError, though Python counts bool as int.
 Loading always re-runs full drawing validation; a well-formed file whose
 content breaks an invariant raises ValidationError, never a half-built
 object.  Malformed files raise ParseError.
+
+Saved files are byte-identical to ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a final newline, in UTF-8: two-space indent, one
+list item or object member per line, ``", "`` never used (items end in
+``","``, members are ``"key": value``), ``[]`` and ``{}`` for empty
+containers, keys sorted as strings (so rotation key ``"10"`` precedes
+``"9"``), and strings escaped to ASCII.  :func:`_encode` writes that
+layout with ``str.join``, since json's C encoder is used only without
+an indent.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .drawing import Drawing, DrawingError, build_drawing, trace_faces
+from .drawing import Drawing, DrawingError, build_drawing, disk_face_index, trace_faces
 from .graph import BipartiteGraph, GraphError, new_bipartite
 
 GRAPH_SCHEMA = "onedisk-graph/1"
@@ -82,10 +92,7 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
 
 def drawing_to_document(d: Drawing) -> dict:
     edge_index = {e: i for i, e in enumerate(d.graph.edges)}
-    xs = range(d.graph.x_count)
-    disk_index = next(
-        (i for i, walk in enumerate(trace_faces(d)) if walk.visits_all(xs)), None
-    )
+    disk_index = disk_face_index(trace_faces(d), d.graph.x_count)
     return {
         "schema": DRAWING_SCHEMA,
         "graph": graph_to_document(d.graph),
@@ -138,8 +145,40 @@ def drawing_from_document(doc: dict) -> Drawing:
     return d
 
 
+def _encode(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for document values.
+
+    ``indent`` is the indent of the line ``value`` starts on.  Takes
+    what documents hold: dicts with str keys, lists, str, int and None;
+    anything else raises TypeError.  A list of ints is formatted in one
+    join.
+    """
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if {*map(type, value)} == {int}:
+            body = sep.join(map(repr, value))
+        else:
+            body = sep.join([_encode(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([
+            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+            for k, v in sorted(value.items())
+        ])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if value is None or isinstance(value, str) or type(value) is int:
+        return json.dumps(value)
+    raise TypeError(f"cannot write {type(value).__name__} into a document")
+
+
 def _dump(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(_encode(doc) + "\n", encoding="utf-8")
 
 
 def _load(path) -> dict:

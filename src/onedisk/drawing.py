@@ -21,6 +21,13 @@ those (document save and load, doubling, the bounds report, SVG export)
 reuse them.  A Drawing made any other way (``Drawing(...)`` directly, or
 ``dataclasses.replace``) carries no faces and is traced on each call.
 :func:`verification_failure` always re-traces from the raw fields.
+
+The same rule says which drawings count as verified: one that carries
+build_drawing's faces has passed every check there, so :func:`is_verified`
+accepts it without work.  Any other Drawing is re-checked from its raw
+fields by :func:`verification_failure`.  A drawing from build_drawing
+whose rotation dict is then mutated in place keeps its stale faces and
+still counts as verified; call verification_failure to catch that.
 """
 
 from __future__ import annotations
@@ -378,6 +385,29 @@ def verify_one_planar(d: Drawing) -> bool:
     return verification_failure(d) is None
 
 
+def is_verified(d: Drawing) -> bool:
+    """True iff the drawing counts as verified.
+
+    A drawing that carries the faces build_drawing traced passed its
+    checks there, the rule :func:`trace_faces` follows; any other is
+    re-checked from its raw fields by :func:`verify_one_planar`.
+    """
+    return d._faces is not None or verify_one_planar(d)
+
+
+def disk_face_index(faces: Sequence[FaceWalk], x_count: int) -> int | None:
+    """Index of the first face incident to X vertices 0..x_count-1, if any.
+
+    A face with fewer than x_count steps visits fewer than x_count nodes,
+    so it is skipped before its node set is built.
+    """
+    xs = range(x_count)
+    for i, walk in enumerate(faces):
+        if len(walk) >= x_count and walk.visits_all(xs):
+            return i
+    return None
+
+
 def find_one_disk_face(d: Drawing) -> FaceWalk | None:
     """First traced face incident to every X vertex, if one exists.
 
@@ -385,11 +415,9 @@ def find_one_disk_face(d: Drawing) -> FaceWalk | None:
     so such a face is exactly what lets all X vertices sit on a circle
     with the rest of the drawing inside.
     """
-    xs = range(d.graph.x_count)
-    for walk in trace_faces(d):
-        if walk.visits_all(xs):
-            return walk
-    return None
+    faces = trace_faces(d)
+    i = disk_face_index(faces, d.graph.x_count)
+    return None if i is None else faces[i]
 
 
 def crossing_count(d: Drawing) -> int:

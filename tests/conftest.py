@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import onedisk as od
+from onedisk import drawing as drawing_mod
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,3 +47,16 @@ def assert_no_violations(g: od.BipartiteGraph, d: od.Drawing | None = None) -> N
     assert not report.violations(), [
         (e.name, e.limit, e.actual) for e in report.violations()
     ]
+
+
+def _count_traces(monkeypatch) -> list:
+    """Record every call of ``drawing.rotation_faces``, the one face tracer."""
+    calls = []
+    real = drawing_mod.rotation_faces
+
+    def counting(rotation):
+        calls.append(rotation)
+        return real(rotation)
+
+    monkeypatch.setattr(drawing_mod, "rotation_faces", counting)
+    return calls

@@ -168,6 +168,15 @@ def test_check_mismatched_drawing_contributes_nothing():
     assert not report.entry("huang").applicable
 
 
+def test_check_rechecks_drawing_not_from_build_drawing():
+    g, d = od.construct_extremal(4, 6)
+    assert od.check(g, od.Drawing(g, d.crossings, d.rotation)).entry("one_disk").applicable
+    rotation = dict(d.rotation)
+    rotation[0] = tuple(reversed(rotation[0]))
+    report = od.check(g, od.Drawing(g, d.crossings, rotation))
+    assert not any(e.applicable for e in report.entries)
+
+
 def test_problem_target_never_applicable():
     g, d = od.construct_extremal(6, 12)
     report = od.check(g, d)

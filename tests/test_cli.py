@@ -7,7 +7,7 @@ import sys
 import onedisk as od
 from onedisk.cli import main
 
-from conftest import no_disk_k33_drawing
+from conftest import FIXTURES, _count_traces, no_disk_k33_drawing
 
 
 def test_construct_verify_round(tmp_path, capsys):
@@ -98,6 +98,40 @@ def test_bounds_report_mode(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     one_disk = next(e for e in payload["entries"] if e["name"] == "one_disk")
     assert one_disk["tight"] and not one_disk["violated"]
+
+
+def test_bounds_report_traces_faces_once(tmp_path, monkeypatch, capsys):
+    g, d = od.construct_extremal(5, 9)
+    od.save_graph(g, tmp_path / "g.json")
+    od.save_drawing(d, tmp_path / "d.json")
+    calls = _count_traces(monkeypatch)
+    assert main(["bounds", "--graph", str(tmp_path / "g.json"),
+                 "--drawing", str(tmp_path / "d.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_repeated_calls_match_separate_processes(monkeypatch, capsys):
+    # Usage text wraps at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["bounds", "--x", "3", "--y", "3", "--json"],
+        ["construct", "--x", "3"],
+        ["search", "--x", "0", "--y", "3"],
+        ["bounds", "--x", "4", "--y", "6"],
+        ["verify", "--drawing", str(FIXTURES / "extremal_4_6.drawing.json"), "--json"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    separate = []
+    for argv in calls:
+        result = subprocess.run([sys.executable, "-m", "onedisk.cli", *argv],
+                                capture_output=True, text=True)
+        separate.append((result.returncode, result.stdout, result.stderr))
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0]
+    assert in_process == separate
 
 
 def test_bounds_requires_arguments():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onedisk as od
+from onedisk import construct as construct_mod
 from onedisk.construct import DrawingBuilder
 from onedisk.drawing import rotation_faces
 
@@ -271,3 +272,45 @@ def test_double_mirror_preserves_alternation():
         order = dd.rotation[c.dummy]
         slots = {i for i, v in enumerate(order) if v in c.edge_a}
         assert slots in ({0, 2}, {1, 3})
+
+
+def _disk_gap_reference(walk, v):
+    """The per-vertex scan ``double`` used before: O(|walk|) for each X vertex."""
+    steps = walk.steps
+    for j, (_, b) in enumerate(steps):
+        if b == v:
+            nxt = steps[(j + 1) % len(steps)]
+            return steps[j][0], nxt[1]
+    raise od.NoOneDiskFace(f"X vertex {v} does not lie on the disk face")
+
+
+@pytest.mark.parametrize("strategy", ["fan", "zigzag", "seed:7"])
+@pytest.mark.parametrize("x", [26, 52, 100, 300])
+def test_disk_gaps_match_per_vertex_scan(x, strategy, monkeypatch):
+    _, d = od.construct_extremal(x, 3 * (x - 2), strategy)
+    disk = od.find_one_disk_face(d)
+    reference = {v: _disk_gap_reference(disk, v) for v in range(x)}
+    assert construct_mod._disk_gaps(disk, x) == reference
+    fast = od.double(d)
+    monkeypatch.setattr(
+        construct_mod, "_disk_gaps",
+        lambda walk, x_count: {v: _disk_gap_reference(walk, v) for v in range(x_count)},
+    )
+    assert od.double(d) == fast
+
+
+def test_disk_gaps_take_the_first_of_repeated_visits(monkeypatch):
+    # K2,2 plus a pendant Y vertex 4 at X vertex 0: the face holding the
+    # pendant passes 0 twice, once on each side of edge (0, 4).
+    g = od.new_bipartite(2, 3, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+    d = od.build_drawing(g, [], {0: (2, 3, 4), 1: (3, 2), 2: (0, 1), 3: (0, 1), 4: (0,)})
+    disk = od.find_one_disk_face(d)
+    assert disk.nodes.count(0) == 2
+    reference = {v: _disk_gap_reference(disk, v) for v in range(2)}
+    assert construct_mod._disk_gaps(disk, 2) == reference
+    fast = od.double(d)
+    monkeypatch.setattr(
+        construct_mod, "_disk_gaps",
+        lambda walk, x_count: {v: _disk_gap_reference(walk, v) for v in range(x_count)},
+    )
+    assert od.double(d) == fast

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -171,3 +172,62 @@ def test_bool_crossing_entry_is_parse_error():
     doc["crossings"][0] = [True, doc["crossings"][0][1]]
     with pytest.raises(documents.ParseError):
         documents.drawing_from_document(doc)
+
+
+# ---------------------------------------------------------------------------
+# The document writer
+# ---------------------------------------------------------------------------
+
+
+# Rotation keys of 0..30 sort as strings, so "10" lands before "9".
+_keys = st.text(max_size=4) | st.integers(0, 30).map(str)
+_scalars = st.none() | st.integers(-10**12, 10**12) | st.text(max_size=8)
+_values = st.recursive(
+    _scalars | st.lists(st.integers(-10**6, 10**6), max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_keys, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_values)
+def test_writer_matches_json_dumps(value):
+    assert documents._encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_writer_edge_cases():
+    value = {
+        "9": [], "10": {}, "name": "gr\u00e4ph \u2192 \"x\"\n", "none": None,
+        "nested": [[], [-1, 0, 2], [{}], [3, "3"], ["a", None]],
+    }
+    assert documents._encode(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert list(json.loads(documents._encode(value))) == sorted(value)
+
+
+@pytest.mark.parametrize("value", [1.5, True, [0, False], (1, 2), {1: 2}, {"a": object()}])
+def test_writer_rejects_values_documents_never_hold(value):
+    with pytest.raises(TypeError):
+        documents._encode(value)
+
+
+# sha256 of every graph document save_graph writes on the construct grid of
+# tests/test_golden.py: each construction's graph, then its double's; 792
+# documents, computed with json.dumps(doc, indent=2, sort_keys=True).
+GRAPH_GOLDEN_SHA256 = "3e31241df0b2cca797786869f70792b2ead6ce121fbc84bde7d33bfa8104d9a9"
+
+
+def test_construct_grid_graph_documents_are_byte_identical(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "g.json"
+    count = 0
+    for x in range(2, 13):
+        for strategy in ("fan", "zigzag", "seed:0", "seed:1", "seed:2", "seed:3"):
+            for t in range(6):
+                y = 2 + t if x == 2 else 3 * (x - 2) + t
+                g, d = od.construct_extremal(x, y, strategy)
+                for graph in (g, od.double(d).graph_star):
+                    od.save_graph(graph, path)
+                    digest.update(path.read_bytes())
+                    count += 1
+    assert count == 792
+    assert digest.hexdigest() == GRAPH_GOLDEN_SHA256

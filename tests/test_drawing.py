@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onedisk as od
-from onedisk import drawing as drawing_mod
 from onedisk.drawing import Drawing, FaceWalk, rotation_faces
 
 from conftest import (
+    _count_traces,
     k22,
     k33,
     no_disk_k33_drawing,
@@ -205,18 +205,6 @@ def test_nonplanar_rotation_rejected_at_build_and_trace():
         od.trace_faces(raw)
     assert not od.verify_one_planar(raw)
     assert "NotPlanarEmbedding" in od.verification_failure(raw)
-
-
-def _count_traces(monkeypatch) -> list:
-    calls = []
-    real = drawing_mod.rotation_faces
-
-    def counting(rotation):
-        calls.append(rotation)
-        return real(rotation)
-
-    monkeypatch.setattr(drawing_mod, "rotation_faces", counting)
-    return calls
 
 
 def test_faces_traced_once_per_validated_drawing(tmp_path, monkeypatch):

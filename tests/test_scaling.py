@@ -1,4 +1,5 @@
-"""Near-linear growth of construct -> save -> load -> verify in |E|."""
+"""Near-linear growth of construct -> save -> load -> verify -> double ->
+save -> load -> verify in |E|."""
 
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ def _pipeline_seconds(x: int, path) -> tuple[float, int]:
     od.save_drawing(d, path)
     loaded = od.load_drawing(path)
     assert od.verification_failure(loaded) is None
+    od.save_drawing(od.double(loaded).drawing_star, path)
+    assert od.verification_failure(od.load_drawing(path)) is None
     return time.perf_counter() - t0, len(g.edges)
 
 
