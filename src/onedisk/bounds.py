@@ -61,12 +61,11 @@ _CLASSIC = {
 def classic_max_edges(kind: str, n: int) -> int:
     """Classic ceilings by order: planar 3n-6, bipartite planar 2n-4,
     1-planar 4n-8; all for n >= 3."""
-    key = kind.strip().lower()
-    if key not in _CLASSIC:
+    if kind not in _CLASSIC:
         raise OutOfDomain(f"unknown kind {kind!r}; expected one of {sorted(_CLASSIC)}")
     if n < 3:
         raise OutOfDomain(f"need n >= 3, got {n}")
-    a, b = _CLASSIC[key]
+    a, b = _CLASSIC[kind]
     return a * n + b
 
 
@@ -116,13 +115,14 @@ def _entry(name: str, applicable: bool, limit, actual: int) -> BoundEntry:
     return BoundEntry(name, True, limit, actual, actual == limit, actual > limit)
 
 
-def ceilings(x: int, y: int, n: int) -> dict[str, int | Fraction | None]:
-    """Every ceiling for parts (x, y) and order n, None outside its domain.
+def ceilings(x: int, y: int) -> dict[str, int | Fraction | None]:
+    """Every ceiling for parts (x, y) and order x + y, None outside its domain.
 
     The names are in report order.  ``problem_target`` is the conjectured
     target, listed for comparison; it is not a proven ceiling.
     """
     parts_ok = 2 <= x <= y
+    n = x + y
     return {
         "one_disk": one_disk_max_edges(x, y) if parts_ok else None,
         "huang": huang_max_edges(x, y) if parts_ok else None,
@@ -163,7 +163,7 @@ def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
         "one_planar": verified,
         "problem_target": False,
     }
-    table = ceilings(g.x_count, g.y_count, g.vertex_count)
+    table = ceilings(g.x_count, g.y_count)
     return BoundsReport(tuple(
         _entry(name, evidence[name] and limit is not None, limit, m)
         for name, limit in table.items()

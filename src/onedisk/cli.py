@@ -5,7 +5,7 @@ Subcommands map one-to-one onto library operations:
     construct --x N --y M [--strategy fan|zigzag|seed:S]
               --out-graph P --out-drawing P [--svg P]
     verify    --drawing P
-    bounds    --x N --y M [--n N] | --graph P [--drawing P]
+    bounds    --x N --y M | --graph P [--drawing P]
     double    --drawing P --out-graph P --out-drawing P
     search    --x N --y M [--budget SECONDS] [--out-witness P]
 
@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import documents
-from .construct import ConstructError, construct_extremal, double, _parse_strategy
-from .drawing import DrawingError, crossing_count, find_one_disk_face
-from .graph import GraphError, edge_count
+from .construct import construct_extremal, double, _parse_strategy
+from .drawing import crossing_count, find_one_disk_face
+from .graph import edge_count
 from .search import BudgetExceeded, SearchLimits, max_edges_one_disk
 from .svg import export_svg
 
@@ -120,10 +120,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _bounds_table(x: int, y: int, n: int) -> dict:
+def _bounds_table(x: int, y: int) -> dict:
     return {
         name: _fraction_str(limit) if isinstance(limit, Fraction) else limit
-        for name, limit in bounds_mod.ceilings(x, y, n).items()
+        for name, limit in bounds_mod.ceilings(x, y).items()
     }
 
 
@@ -157,9 +157,8 @@ def _cmd_bounds(args) -> int:
     if args.x is None or args.y is None:
         print("bounds: provide --x and --y, or --graph", file=sys.stderr)
         return 2
-    n = args.n if args.n is not None else args.x + args.y
-    table = _bounds_table(args.x, args.y, n)
-    payload = {"x": args.x, "y": args.y, "n": n, "bounds": table}
+    table = _bounds_table(args.x, args.y)
+    payload = {"x": args.x, "y": args.y, "n": args.x + args.y, "bounds": table}
     lines = [f"{name:>17}: {value if value is not None else 'n/a'}"
              for name, value in table.items()]
     _emit(args, payload, lines)
@@ -199,7 +198,6 @@ def _cmd_search(args) -> int:
         "x": args.x,
         "y": args.y,
         "max_edges": outcome.max_edges,
-        "exhausted": outcome.exhausted,
         "candidates": "connected",
         "witness_path": witness_path,
         "witness_crossings": (
@@ -208,8 +206,7 @@ def _cmd_search(args) -> int:
     }
     lines = [
         f"maximum edges for parts ({args.x}, {args.y}): {outcome.max_edges}"
-        f" ({'exhaustive' if outcome.exhausted else 'not exhaustive'};"
-        " connected candidates only)",
+        " (exhaustive; connected candidates only)",
     ]
     if witness_path:
         lines.append(f"witness  -> {witness_path}")
@@ -255,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="print edge ceilings or a bounds report")
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--drawing", default=None)
     p.add_argument("--json", action="store_true")
@@ -293,8 +289,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (documents.ValidationError, DrawingError, GraphError, ConstructError,
-            bounds_mod.OutOfDomain, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,10 @@ Drawing document keys:
     graph          embedded graph document
     crossings      list of [edge_index, edge_index] into graph.edges
     rotation       {"node_id": [neighbor ids...]} over all planarization
-                   nodes; the dummy of crossings[i] is vertex_count + i
+                   nodes; the dummy of crossings[i] is vertex_count + i.
+                   A key is written as ``str(node)``: "7", never "07",
+                   " 7", "7_0" or non-ASCII digits, which ``int`` also
+                   reads as 7; any other key is a ParseError.
     one_disk_face  index of a face incident to all X vertices in face
                    tracing order, or null
 
@@ -81,7 +84,8 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
     raw_edges = _require(doc, "edges", list)
     edges = []
     for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and type(item[0]) is int and type(item[1]) is int):
             raise ParseError(f"edge entry {item!r} is not a pair of integers")
         edges.append((item[0], item[1]))
     try:
@@ -111,7 +115,8 @@ def drawing_from_document(doc: dict) -> Drawing:
     raw_crossings = _require(doc, "crossings", list)
     pairs = []
     for item in raw_crossings:
-        if not (isinstance(item, list) and len(item) == 2 and all(type(v) is int for v in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and type(item[0]) is int and type(item[1]) is int):
             raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
         for idx in item:
             if not 0 <= idx < len(g.edges):
@@ -124,7 +129,9 @@ def drawing_from_document(doc: dict) -> Drawing:
             node = int(key)
         except ValueError:
             raise ParseError(f"rotation key {key!r} is not an integer") from None
-        if not (isinstance(nbrs, list) and all(type(v) is int for v in nbrs)):
+        if str(node) != key:
+            raise ParseError(f"rotation key {key!r} is not written as {str(node)!r}")
+        if not (isinstance(nbrs, list) and {*map(type, nbrs)} <= {int}):
             raise ParseError(f"rotation at {key} is not a list of node ids")
         rotation[node] = tuple(nbrs)
     disk_index = doc.get("one_disk_face")

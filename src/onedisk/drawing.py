@@ -25,14 +25,14 @@ reuse them.  A Drawing made any other way (``Drawing(...)`` directly, or
 The same rule says which drawings count as verified: one that carries
 build_drawing's faces has passed every check there, so :func:`is_verified`
 accepts it without work.  Any other Drawing is re-checked from its raw
-fields by :func:`verification_failure`.  A drawing from build_drawing
-whose rotation dict is then mutated in place keeps its stale faces and
-still counts as verified; call verification_failure to catch that.
+fields by :func:`verification_failure`.  build_drawing stores the
+rotation as a read-only mapping, so its faces cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .graph import BipartiteGraph, Edge, reachable
@@ -77,6 +77,18 @@ class NoOneDiskFace(DrawingError):
 Step = tuple[int, int]
 
 
+def _least_first(seq: tuple) -> tuple:
+    """``seq`` rotated to start at its least item.
+
+    With distinct items this is also the lexicographically least
+    rotation, found in O(k) instead of by comparing all k rotations.
+    """
+    if not seq:
+        return seq
+    k = seq.index(min(seq))
+    return seq[k:] + seq[:k] if k else seq
+
+
 @dataclass(frozen=True, eq=False)
 class FaceWalk:
     """One face of an embedding: a cyclic sequence of directed segments.
@@ -90,16 +102,8 @@ class FaceWalk:
     steps: tuple[Step, ...]
 
     def canonical(self) -> tuple[Step, ...]:
-        """The rotation starting at the least step.
-
-        With distinct steps this is also the lexicographically least
-        rotation, found in O(k) instead of by comparing all k rotations.
-        """
-        steps = self.steps
-        if not steps:
-            return steps
-        k = steps.index(min(steps))
-        return steps[k:] + steps[:k]
+        """The rotation starting at the least step."""
+        return _least_first(self.steps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaceWalk):
@@ -118,9 +122,6 @@ class FaceWalk:
     def nodes(self) -> tuple[int, ...]:
         """Visited nodes in walk order (may repeat)."""
         return tuple(u for u, _ in self.steps)
-
-    def visits(self, node: int) -> bool:
-        return any(u == node for u, _ in self.steps)
 
     def visits_all(self, nodes: Iterable[int]) -> bool:
         here = set(self.nodes)
@@ -195,13 +196,14 @@ class Drawing:
 
     Planarization node ids: original vertices keep their graph ids, the
     dummy of crossings[i] is graph.vertex_count + i.  Treat instances as
-    immutable; every operation here is pure.  ``_faces`` holds the faces
+    immutable; every operation here is pure.  build_drawing stores
+    ``rotation`` as a read-only mapping.  ``_faces`` holds the faces
     build_drawing traced; it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
     crossings: tuple[Crossing, ...]
-    rotation: dict[int, tuple[int, ...]]
+    rotation: Mapping[int, tuple[int, ...]]
     _faces: tuple[FaceWalk, ...] | None = field(
         init=False, compare=False, repr=False, default=None
     )
@@ -325,24 +327,20 @@ def _checked_faces(
     return faces
 
 
-def _canonical_rotation(nbrs: Sequence[int]) -> tuple[int, ...]:
-    k = nbrs.index(min(nbrs))
-    return tuple(nbrs[k:]) + tuple(nbrs[:k])
-
-
 def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:
     """Validate and assemble a Drawing.
 
     ``crossings`` may hold Crossing values or plain (edge, edge) pairs;
     dummies are numbered graph.vertex_count + index.  Every rotation is
     normalized to start at its smallest neighbor id, so structurally
-    equal drawings compare equal.  Raises a DrawingError subclass on any
-    violated invariant, including a genus check via face tracing.  The
-    traced faces are kept on the result for :func:`trace_faces`.
+    equal drawings compare equal, and the rotation map is read-only.
+    Raises a DrawingError subclass on any violated invariant, including
+    a genus check via face tracing.  The traced faces are kept on the
+    result for :func:`trace_faces`.
     """
     cross = _normalize_crossings(graph, crossings)
     _validate_structure(graph, cross, rotation)
-    norm = {v: _canonical_rotation(tuple(nbrs)) for v, nbrs in rotation.items()}
+    norm = MappingProxyType({v: _least_first(tuple(nbrs)) for v, nbrs in rotation.items()})
     d = Drawing(graph, cross, norm)
     faces = _checked_faces(norm, d.node_count, d.segment_count)
     object.__setattr__(d, "_faces", tuple(faces))
@@ -363,19 +361,17 @@ def trace_faces(d: Drawing) -> list[FaceWalk]:
 def verification_failure(d: Drawing) -> str | None:
     """Reason the drawing fails 1-planar verification, or None if it passes.
 
-    Re-checks everything from the raw fields, so it also catches objects
-    assembled or mutated outside build_drawing; each crossing must be in
-    the normal form build_drawing gives it.  It ignores any faces
-    stored by build_drawing and traces the rotation itself.
+    Re-runs build_drawing on the raw fields, so it also catches objects
+    assembled outside build_drawing, and then requires each crossing to
+    be in the normal form build_drawing gives it.  It ignores any faces
+    stored on ``d``.
     """
     try:
-        normal = _normalize_crossings(d.graph, d.crossings)
+        normal = build_drawing(d.graph, d.crossings, d.rotation).crossings
         for i, (c, norm) in enumerate(zip(d.crossings, normal)):
             if c != norm:
                 raise DrawingError(f"crossing {i} is {c}, not in its normal form {norm}")
-        _validate_structure(d.graph, d.crossings, d.rotation)
-        _checked_faces(d.rotation, d.node_count, d.segment_count)
-    except (DrawingError, ValueError) as err:
+    except ValueError as err:
         return f"{type(err).__name__}: {err}"
     return None
 

@@ -9,7 +9,6 @@ separate labeling table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -29,11 +28,6 @@ class DuplicateEdge(GraphError):
 
 class VertexOutOfRange(GraphError):
     """An edge endpoint is not a valid vertex id."""
-
-
-class Part(Enum):
-    X = "X"
-    Y = "Y"
 
 
 @dataclass(frozen=True)
@@ -59,17 +53,6 @@ class BipartiteGraph:
     @property
     def y_vertices(self) -> range:
         return range(self.x_count, self.x_count + self.y_count)
-
-    def part(self, v: int) -> Part:
-        if 0 <= v < self.x_count:
-            return Part.X
-        if self.x_count <= v < self.vertex_count:
-            return Part.Y
-        raise VertexOutOfRange(f"vertex {v} not in 0..{self.vertex_count - 1}")
-
-    def degree(self, v: int) -> int:
-        self.part(v)
-        return sum(1 for e in self.edges if v in e)
 
 
 def new_bipartite(x_count: int, y_count: int, edges) -> BipartiteGraph:

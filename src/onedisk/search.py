@@ -203,19 +203,20 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
 
     Candidate edge sets are enumerated up to part-preserving isomorphism
     and filtered to connected graphs.  The first level with a drawable
-    candidate is the maximum; the proven ceiling caps the starting level
-    and a witness above it would abort the run.  Raises BudgetExceeded
-    when the time budget runs out first.
+    candidate is the maximum.  The search starts at the proven ceiling
+    (x*y outside 2 <= x <= y) and tests no level above it: it confirms
+    that the ceiling is attained, not that it holds.  Raises
+    BudgetExceeded when the time budget runs out first.
     """
     limits = limits or SearchLimits()
     if x < 1 or y < 1:
         raise ValueError("part sizes must be positive")
+    # Never above x*y: x*y - (3x + 2y - 6) = (x - 2)(y - 3) >= 0 for 2 <= x <= y.
     ceiling = one_disk_max_edges(x, y) if 2 <= x <= y else x * y
-    start = min(x * y, ceiling)
     all_pairs = [(i, x + j) for i in range(x) for j in range(y)]
     deadline = time.monotonic() + limits.time_budget
 
-    for m in range(start, 0, -1):
+    for m in range(ceiling, 0, -1):
         seen: set[tuple[Edge, ...]] = set()
         for combo in combinations(all_pairs, m):
             if time.monotonic() > deadline:
@@ -229,9 +230,5 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
                 continue
             witness = _decide_drawable(g, limits, deadline)
             if witness is not None:
-                if m > ceiling:
-                    raise RuntimeError(
-                        f"witness with {m} edges exceeds the proven ceiling {ceiling}"
-                    )
                 return SearchOutcome(m, witness, exhausted=True)
     return SearchOutcome(0, None, exhausted=True)

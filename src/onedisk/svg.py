@@ -46,14 +46,16 @@ def _layout(d: Drawing) -> dict[int, tuple[float, float]]:
     interior = [v for v in d.rotation if v not in pos]
     for v in interior:
         pos[v] = (center, center)
+    # The summation order fixes the output bytes: left to right from 0.
+    moving = [(v, d.rotation[v]) for v in interior if d.rotation[v]]
     for _ in range(_ITERATIONS):
-        for v in interior:
-            nbrs = d.rotation[v]
-            if not nbrs:
-                continue
-            sx = sum(pos[u][0] for u in nbrs) / len(nbrs)
-            sy = sum(pos[u][1] for u in nbrs) / len(nbrs)
-            pos[v] = (sx, sy)
+        for v, nbrs in moving:
+            sx = sy = 0
+            for u in nbrs:
+                px, py = pos[u]
+                sx += px
+                sy += py
+            pos[v] = (sx / len(nbrs), sy / len(nbrs))
     return pos
 
 

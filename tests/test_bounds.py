@@ -198,7 +198,7 @@ def test_entry_invariants():
 def test_ceilings_table_matches_report():
     for x, y in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 6), (5, 9)]:
         g = od.new_bipartite(x, y, [(0, x)])
-        table = ceilings(x, y, x + y)
+        table = ceilings(x, y)
         report = od.check(g)
         assert list(table) == [e.name for e in report.entries]
         assert list(table.values()) == [e.limit for e in report.entries]

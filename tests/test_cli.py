@@ -80,7 +80,10 @@ def test_bounds_table(capsys):
 
 
 def test_bounds_explicit_order_flag(capsys):
-    assert main(["bounds", "--x", "2", "--y", "2", "--n", "8", "--json"]) == 0
+    # The order is always x + y, so bounds takes no --n.
+    assert main(["bounds", "--x", "2", "--y", "2", "--n", "8", "--json"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["bounds", "--x", "2", "--y", "6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 8
     assert payload["bounds"]["karpov"] == 16
@@ -144,7 +147,9 @@ def test_search_json(tmp_path, capsys):
                "--out-witness", str(witness)])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["max_edges"] == 4 and payload["exhausted"]
+    assert payload["max_edges"] == 4
+    assert set(payload) == {"x", "y", "max_edges", "candidates", "witness_path",
+                            "witness_crossings"}
     assert od.verify_one_planar(od.load_drawing(witness))
 
 

@@ -11,6 +11,10 @@ from onedisk.drawing import rotation_faces
 from conftest import no_disk_k33_drawing, planar_k22_drawing
 
 
+def _degree(g: od.BipartiteGraph, v: int) -> int:
+    return sum(1 for e in g.edges if v in e)
+
+
 # ---------------------------------------------------------------------------
 # Maximal outerplanar scaffolds
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def test_extremal_4_6():
 def test_extremal_4_8_with_pendant_pair():
     g, d = od.construct_extremal(4, 8)
     assert od.edge_count(g) == 22
-    degree_two = [v for v in g.y_vertices if g.degree(v) == 2]
+    degree_two = [v for v in g.y_vertices if _degree(g, v) == 2]
     assert len(degree_two) == 2
     for v in degree_two:
         assert {u for u, w in g.edges if w == v} == {0, 1}
@@ -176,7 +180,7 @@ def test_extremal_2_5_nested():
     g, d = od.construct_extremal(2, 5)
     assert od.edge_count(g) == 10
     assert od.crossing_count(d) == 0
-    assert all(g.degree(v) == 2 for v in g.y_vertices)
+    assert all(_degree(g, v) == 2 for v in g.y_vertices)
 
 
 def test_extremal_edge_identity_across_regimes():
@@ -191,8 +195,8 @@ def test_extremal_edge_identity_across_regimes():
 def test_extremal_gadget_degree_profile():
     for x, y in [(3, 3), (4, 6), (4, 9), (5, 12)]:
         g, _ = od.construct_extremal(x, y)
-        degree_three = sum(1 for v in g.y_vertices if g.degree(v) == 3)
-        degree_two = sum(1 for v in g.y_vertices if g.degree(v) == 2)
+        degree_three = sum(1 for v in g.y_vertices if _degree(g, v) == 3)
+        degree_two = sum(1 for v in g.y_vertices if _degree(g, v) == 2)
         assert degree_three == 3 * (x - 2)
         assert degree_two == y - 3 * (x - 2)
 

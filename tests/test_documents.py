@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import onedisk as od
 from onedisk import documents
+from onedisk.cli import main
 
 from conftest import FIXTURES, planar_k22_drawing
 
@@ -107,6 +108,30 @@ def test_bad_rotation_is_validation_error(tmp_path):
     with pytest.raises(documents.ValidationError) as info:
         od.load_drawing(path)
     assert "IncompleteRotation" in str(info.value)
+
+
+@pytest.mark.parametrize("node, key", [
+    (1, "01"), (1, "+1"), (1, " 1 "), (1, "\u0661"), (0, "-0"),
+    (10, "1_0"), (10, "\u0661\u0660"),
+])
+def test_non_canonical_rotation_key_is_parse_error(node, key, tmp_path):
+    # int() reads each of these keys as ``node``.
+    _, d = od.construct_extremal(4, 6)
+    doc = documents.drawing_to_document(d)
+    doc["rotation"][key] = doc["rotation"].pop(str(node))
+    with pytest.raises(documents.ParseError, match="rotation key"):
+        documents.drawing_from_document(doc)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--drawing", str(path)]) == 2
+
+
+def test_padded_rotation_key_beside_its_node_is_parse_error():
+    # "01" would otherwise silently replace the rotation at node 1.
+    doc = documents.drawing_to_document(planar_k22_drawing())
+    doc["rotation"]["01"] = doc["rotation"]["1"]
+    with pytest.raises(documents.ParseError, match="rotation key"):
+        documents.drawing_from_document(doc)
 
 
 def test_wrong_disk_face_index_is_validation_error(tmp_path):

@@ -29,7 +29,7 @@ def test_face_walk_cyclic_equality():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a.nodes == (0, 1, 2)
-    assert a.visits(2) and not a.visits(3)
+    assert 2 in a.nodes and 3 not in a.nodes
 
 
 def _lexmin_rotation(steps):
@@ -241,6 +241,16 @@ def test_rotations_are_normalized():
     assert all(rot[0] == min(rot) for rot in d.rotation.values())
 
 
+def test_built_rotation_is_read_only():
+    # Mutating it in place would leave the stored faces stale.
+    _, d = od.construct_extremal(4, 6)
+    with pytest.raises(TypeError):
+        d.rotation[0] = tuple(reversed(d.rotation[0]))
+    with pytest.raises(TypeError):
+        del d.rotation[0]
+    assert od.verification_failure(d) is None
+
+
 # ---------------------------------------------------------------------------
 # verify_one_planar
 # ---------------------------------------------------------------------------
@@ -311,7 +321,7 @@ def test_disk_face_on_planar_k22():
     d = planar_k22_drawing()
     walk = od.find_one_disk_face(d)
     assert walk is not None
-    assert walk.visits(0) and walk.visits(1)
+    assert walk.visits_all((0, 1))
 
 
 def test_disk_face_on_extremal_5_9():

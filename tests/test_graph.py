@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import onedisk as od
-from onedisk.graph import Part
 
 
 def test_k22_construction():
     g = od.new_bipartite(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert od.edge_count(g) == 4
-    assert g.part(0) is Part.X and g.part(3) is Part.Y
+    assert list(g.x_vertices) == [0, 1] and list(g.y_vertices) == [2, 3]
 
 
 def test_k33_has_nine_edges():
@@ -56,13 +55,6 @@ def test_edge_normalization_and_equality():
     assert all(u < 2 <= v for u, v in a.edges)
 
 
-def test_degree():
-    g = od.new_bipartite(2, 3, [(0, 2), (0, 3), (1, 2)])
-    assert g.degree(0) == 2
-    assert g.degree(2) == 2
-    assert g.degree(4) == 0
-
-
 @given(
     x=st.integers(1, 4),
     y=st.integers(1, 4),
@@ -76,5 +68,5 @@ def test_construction_invariants(x, y, picks, seed):
     g = od.new_bipartite(x, y, shuffled)
     assert od.edge_count(g) == len(pairs)
     for u, v in g.edges:
-        assert g.part(u) is Part.X and g.part(v) is Part.Y
+        assert u in g.x_vertices and v in g.y_vertices
     assert g == od.new_bipartite(x, y, pairs)

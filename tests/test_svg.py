@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +10,12 @@ import onedisk as od
 from conftest import no_disk_k33_drawing
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+# sha256 of the figures export_svg writes for every construction with x in
+# 2..12, strategies fan, zigzag and seed:0..seed:3, and t in {0, 3} extra
+# degree-2 vertices: 132 figures in that order.  It pins the layout's
+# float arithmetic down to the written digits.
+SVG_GOLDEN_SHA256 = "63078cb2e49ec40f4ced1e3622cc09b0a229cb06befc8107158fe2d12248d98a"
 
 
 def _counts(path):
@@ -57,3 +64,19 @@ def test_svg_deterministic(tmp_path):
     od.export_svg(d, p1)
     od.export_svg(d, p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_construct_grid_figures_are_byte_identical(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "fig.svg"
+    count = 0
+    for x in range(2, 13):
+        for strategy in ("fan", "zigzag", "seed:0", "seed:1", "seed:2", "seed:3"):
+            for t in (0, 3):
+                y = 2 + t if x == 2 else 3 * (x - 2) + t
+                _, d = od.construct_extremal(x, y, strategy)
+                od.export_svg(d, path)
+                digest.update(path.read_bytes())
+                count += 1
+    assert count == 132
+    assert digest.hexdigest() == SVG_GOLDEN_SHA256
