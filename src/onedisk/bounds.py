@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .drawing import Drawing, crossing_count, find_one_disk_face, is_verified
+from .drawing import Drawing, crossing_count, find_one_disk_face
 from .graph import BipartiteGraph
 
 
@@ -138,19 +138,15 @@ def ceilings(x: int, y: int) -> dict[str, int | Fraction | None]:
 def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
     """Evaluate the graph against every ceiling whose hypothesis holds.
 
-    A drawing contributes evidence only if it belongs to ``g`` and counts
-    as verified by :func:`~onedisk.drawing.is_verified`: a drawing from
-    ``build_drawing`` (so also one from ``load_drawing``, ``construct`` or
-    ``double``) was checked when it was built and is trusted, and any other
-    Drawing is re-checked from its raw fields.  The disk bound
-    additionally needs a face incident to all of X, and the planar
-    ceilings need zero crossings.  The target value is always reported
-    but never marked applicable, since it is not a proven bound.  An
-    applicable-and-violated disk entry would mean a bug in this package,
-    not a counterexample.
+    A drawing contributes evidence if it belongs to ``g``; it was checked
+    when it was made.  The disk bound additionally needs a face incident
+    to all of X, and the planar ceilings need zero crossings.  The target
+    value is always reported but never marked applicable, since it is not
+    a proven bound.  An applicable-and-violated disk entry would mean a
+    bug in this package, not a counterexample.
     """
     m = len(g.edges)
-    verified = d is not None and d.graph == g and is_verified(d)
+    verified = d is not None and d.graph == g
     one_disk_ok = verified and find_one_disk_face(d) is not None
     planar_ok = verified and crossing_count(d) == 0
     evidence = {

@@ -5,7 +5,7 @@ Subcommands map one-to-one onto library operations:
     construct --x N --y M [--strategy fan|zigzag|seed:S]
               --out-graph P --out-drawing P [--svg P]
     verify    --drawing P
-    bounds    --x N --y M | --graph P [--drawing P]
+    bounds    --x N --y M | --graph P [--drawing P]   (not both forms)
     double    --drawing P --out-graph P --out-drawing P
     search    --x N --y M [--budget SECONDS] [--out-witness P]
 
@@ -128,6 +128,10 @@ def _bounds_table(x: int, y: int) -> dict:
 
 
 def _cmd_bounds(args) -> int:
+    sizes = args.x is not None or args.y is not None
+    if (args.graph and sizes) or (args.drawing and not args.graph):
+        print("bounds: give --x and --y, or --graph [--drawing], not both", file=sys.stderr)
+        return 2
     if args.graph:
         g = documents.load_graph(args.graph)
         d = documents.load_drawing(args.drawing) if args.drawing else None

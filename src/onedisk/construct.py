@@ -269,8 +269,9 @@ class DrawingBuilder:
                 return self._pending.pop(i)
         raise NotATriangle("face is not an open inner triangle of this scaffold")
 
-    def derive_rotation(self, include_scaffold: bool = False) -> dict[int, tuple[int, ...]]:
-        """The rotation system so far, with dummies numbered n + i."""
+    def derive_rotation(self) -> dict[int, tuple[int, ...]]:
+        """The rotation system so far without the scaffold edges, with
+        dummies numbered n + i."""
         n = self._scaffold_count + self._y_count
         xs = range(self._scaffold_count)
 
@@ -279,7 +280,7 @@ class DrawingBuilder:
 
         return {
             node(v): tuple(
-                node(u) for u in order if include_scaffold or not (v in xs and u in xs)
+                node(u) for u in order if not (v in xs and u in xs)
             )
             for v, order in self._rotation.items()
         }
@@ -287,8 +288,7 @@ class DrawingBuilder:
     def finish(self) -> tuple[BipartiteGraph, Drawing]:
         """Drop the scaffold edges and assemble the validated drawing."""
         g = new_bipartite(self._scaffold_count, self.y_count, self._edges)
-        rotation = self.derive_rotation(include_scaffold=False)
-        return g, build_drawing(g, self._crossings, rotation)
+        return g, build_drawing(g, self._crossings, self.derive_rotation())
 
 
 def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> B3Pattern:

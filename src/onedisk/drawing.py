@@ -14,24 +14,15 @@ order at v.  A connected rotation system describes a sphere drawing
 exactly when the traced face count F satisfies V - E + F = 2; that check
 is what separates a genuine plane drawing from a higher-genus rotation.
 
-Faces are traced once per validated drawing.  :func:`build_drawing`
-traces them for its Euler check and keeps them on the Drawing, so
-:func:`trace_faces`, :func:`find_one_disk_face` and every caller of
-those (document save and load, doubling, the bounds report, SVG export)
-reuse them.  A Drawing made any other way (``Drawing(...)`` directly, or
-``dataclasses.replace``) carries no faces and is traced on each call.
-:func:`verification_failure` always re-traces from the raw fields.
-
-The same rule says which drawings count as verified: one that carries
-build_drawing's faces has passed every check there, so :func:`is_verified`
-accepts it without work.  Any other Drawing is re-checked from its raw
-fields by :func:`verification_failure`.  build_drawing stores the
-rotation as a read-only mapping, so its faces cannot go stale.
+A Drawing is checked when it is made, however it is made, and keeps the
+faces its Euler check traced: no unchecked Drawing exists, and no
+drawing is traced twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -192,21 +183,37 @@ class Crossing:
 
 @dataclass(frozen=True)
 class Drawing:
-    """A validated 1-planar drawing; construct through :func:`build_drawing`.
+    """A connected 1-planar sphere drawing, checked when it is made.
 
     Planarization node ids: original vertices keep their graph ids, the
-    dummy of crossings[i] is graph.vertex_count + i.  Treat instances as
-    immutable; every operation here is pure.  build_drawing stores
-    ``rotation`` as a read-only mapping.  ``_faces`` holds the faces
-    build_drawing traced; it takes no part in equality or repr.
+    dummy of crossings[i] is graph.vertex_count + i.  ``crossings`` may
+    hold Crossing values or plain (edge, edge) pairs; each is stored in
+    normal form, its edges sorted.  Every rotation is stored read-only
+    and starting at its smallest neighbor id, so structurally equal
+    drawings compare equal.  Any violated invariant, including genus > 0
+    found by face tracing, raises a DrawingError subclass.  ``_faces``
+    holds the traced faces; it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
     crossings: tuple[Crossing, ...]
     rotation: Mapping[int, tuple[int, ...]]
-    _faces: tuple[FaceWalk, ...] | None = field(
-        init=False, compare=False, repr=False, default=None
-    )
+    _faces: tuple[FaceWalk, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        crossings = _normalize_crossings(self.graph, self.crossings)
+        _validate_structure(self.graph, crossings, self.rotation)
+        rotation = MappingProxyType(
+            {v: _least_first(tuple(nbrs)) for v, nbrs in self.rotation.items()}
+        )
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "rotation", rotation)
+        faces = _checked_faces(rotation, self.node_count, self.segment_count)
+        object.__setattr__(self, "_faces", tuple(faces))
+
+    def __reduce__(self):
+        # Copies and unpickled drawings are made, and so checked, afresh.
+        return Drawing, (self.graph, self.crossings, dict(self.rotation))
 
     @property
     def node_count(self) -> int:
@@ -221,6 +228,8 @@ class Drawing:
 
 
 def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ...]:
+    """The crossings in normal form; raises on a missing edge, then on
+    AdjacentEdgesCross, then on EdgeCrossedTwice."""
     edge_set = set(graph.edges)
     n = graph.vertex_count
     out: list[Crossing] = []
@@ -244,21 +253,21 @@ def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ..
         if set(ea) & set(eb):
             raise AdjacentEdgesCross(f"edges {ea} and {eb} share an endpoint")
         out.append(Crossing(ea, eb, dummy))
+    crossed: set[Edge] = set()
+    for c in out:
+        for e in (c.edge_a, c.edge_b):
+            if e in crossed:
+                raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
+            crossed.add(e)
     return tuple(out)
 
 
 def _planarization_adjacency(
     graph: BipartiteGraph, crossings: Sequence[Crossing]
 ) -> dict[int, set[int]]:
-    crossed: dict[Edge, int] = {}
-    for c in crossings:
-        for e in (c.edge_a, c.edge_b):
-            if e in crossed:
-                raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
-            crossed[e] = c.dummy
-    adj: dict[int, set[int]] = {v: set() for v in range(graph.vertex_count)}
-    for c in crossings:
-        adj[c.dummy] = set()
+    """Neighbor sets of the planarization of normalized ``crossings``."""
+    crossed = {e: c.dummy for c in crossings for e in (c.edge_a, c.edge_b)}
+    adj = {v: set() for v in range(graph.vertex_count + len(crossings))}
     for e in graph.edges:
         u, v = e
         if e in crossed:
@@ -278,16 +287,10 @@ def _validate_structure(
     crossings: Sequence[Crossing],
     rotation: Mapping[int, Sequence[int]],
 ) -> None:
-    """Raise the first structural defect found, if any."""
+    """Raise the first structural defect of normalized ``crossings`` and
+    ``rotation``, if any."""
+    _check_rotation_nodes(rotation, graph.vertex_count + len(crossings))
     adj = _planarization_adjacency(graph, crossings)
-
-    missing = set(adj) - set(rotation)
-    extra = set(rotation) - set(adj)
-    if missing or extra:
-        raise IncompleteRotation(
-            f"rotation nodes mismatch planarization (missing {sorted(missing)}, "
-            f"extra {sorted(extra)})"
-        )
     for v, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs) or set(nbrs) != adj[v]:
             raise IncompleteRotation(
@@ -314,6 +317,25 @@ def _validate_structure(
         )
 
 
+def _check_rotation_nodes(rotation: Mapping[int, Sequence[int]], node_count: int) -> None:
+    """Raise IncompleteRotation unless ``rotation`` is keyed by exactly the
+    nodes 0..node_count-1.
+
+    Takes time and memory bounded by len(rotation), not by node_count,
+    which a document may claim to be huge.
+    """
+    nodes = range(node_count)
+    if len(rotation) == node_count and rotation.keys() == set(nodes):
+        return
+    extra = sorted(v for v in rotation if v not in nodes)
+    missing = list(islice((v for v in nodes if v not in rotation), 5))
+    absent = node_count - (len(rotation) - len(extra))
+    raise IncompleteRotation(
+        f"rotation nodes mismatch planarization ({absent} missing, "
+        f"first {missing}; {len(extra)} extra, first {extra[:5]})"
+    )
+
+
 def _checked_faces(
     rotation: Mapping[int, Sequence[int]], node_count: int, segment_count: int
 ) -> list[FaceWalk]:
@@ -328,67 +350,20 @@ def _checked_faces(
 
 
 def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:
-    """Validate and assemble a Drawing.
-
-    ``crossings`` may hold Crossing values or plain (edge, edge) pairs;
-    dummies are numbered graph.vertex_count + index.  Every rotation is
-    normalized to start at its smallest neighbor id, so structurally
-    equal drawings compare equal, and the rotation map is read-only.
-    Raises a DrawingError subclass on any violated invariant, including
-    a genus check via face tracing.  The traced faces are kept on the
-    result for :func:`trace_faces`.
-    """
-    cross = _normalize_crossings(graph, crossings)
-    _validate_structure(graph, cross, rotation)
-    norm = MappingProxyType({v: _least_first(tuple(nbrs)) for v, nbrs in rotation.items()})
-    d = Drawing(graph, cross, norm)
-    faces = _checked_faces(norm, d.node_count, d.segment_count)
-    object.__setattr__(d, "_faces", tuple(faces))
-    return d
+    """The checked drawing with these fields; see :class:`Drawing`."""
+    return Drawing(graph, crossings, rotation)
 
 
 def trace_faces(d: Drawing) -> list[FaceWalk]:
-    """All face walks of the drawing; raises NotPlanarEmbedding on genus > 0.
-
-    A drawing from build_drawing returns a copy of the faces traced
-    there, in the same order; any other Drawing is traced afresh.
-    """
-    if d._faces is not None:
-        return list(d._faces)
-    return _checked_faces(d.rotation, d.node_count, d.segment_count)
+    """All face walks of the drawing, in tracing order: a copy of the
+    faces traced when it was made."""
+    return list(d._faces)
 
 
-def verification_failure(d: Drawing) -> str | None:
-    """Reason the drawing fails 1-planar verification, or None if it passes.
-
-    Re-runs build_drawing on the raw fields, so it also catches objects
-    assembled outside build_drawing, and then requires each crossing to
-    be in the normal form build_drawing gives it.  It ignores any faces
-    stored on ``d``.
-    """
-    try:
-        normal = build_drawing(d.graph, d.crossings, d.rotation).crossings
-        for i, (c, norm) in enumerate(zip(d.crossings, normal)):
-            if c != norm:
-                raise DrawingError(f"crossing {i} is {c}, not in its normal form {norm}")
-    except ValueError as err:
-        return f"{type(err).__name__}: {err}"
+def verification_failure(d: Drawing) -> None:
+    """Always None: a Drawing is checked when it is made, so every one
+    passes 1-planar verification."""
     return None
-
-
-def verify_one_planar(d: Drawing) -> bool:
-    """True iff the drawing is a valid connected 1-planar sphere drawing."""
-    return verification_failure(d) is None
-
-
-def is_verified(d: Drawing) -> bool:
-    """True iff the drawing counts as verified.
-
-    A drawing that carries the faces build_drawing traced passed its
-    checks there, the rule :func:`trace_faces` follows; any other is
-    re-checked from its raw fields by :func:`verify_one_planar`.
-    """
-    return d._faces is not None or verify_one_planar(d)
 
 
 def disk_face_index(faces: Sequence[FaceWalk], x_count: int) -> int | None:

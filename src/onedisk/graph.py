@@ -34,13 +34,34 @@ class VertexOutOfRange(GraphError):
 class BipartiteGraph:
     """Immutable simple graph in which every edge joins an X and a Y vertex.
 
-    ``edges`` is stored sorted with the X endpoint first, so two graphs
-    built from the same edge set compare equal regardless of input order.
+    Checked when it is made: an empty part, a loop, a duplicate edge, an
+    edge inside one part or an endpoint out of range raises a GraphError
+    subclass.  ``edges`` may give each pair in either order; it is stored
+    sorted, X endpoint first, so equal edge sets compare equal.
     """
 
     x_count: int
     y_count: int
     edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        x_count, y_count = self.x_count, self.y_count
+        if x_count < 1 or y_count < 1:
+            raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
+        total = x_count + y_count
+        normalized: list[Edge] = []
+        seen: set[Edge] = set()
+        for u, v in self.edges:
+            if not (0 <= u < total and 0 <= v < total):
+                raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
+            lo, hi = (u, v) if u <= v else (v, u)
+            if lo >= x_count or hi < x_count:
+                raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
+            if (lo, hi) in seen:
+                raise DuplicateEdge(f"edge ({u}, {v}) given twice")
+            seen.add((lo, hi))
+            normalized.append((lo, hi))
+        object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     @property
     def vertex_count(self) -> int:
@@ -56,28 +77,8 @@ class BipartiteGraph:
 
 
 def new_bipartite(x_count: int, y_count: int, edges) -> BipartiteGraph:
-    """Validating constructor for :class:`BipartiteGraph`.
-
-    Rejects loops, duplicate edges, edges inside one part, and endpoints
-    outside the id range.  Edge pairs may be given in either endpoint
-    order; they are normalized to (x vertex, y vertex).
-    """
-    if x_count < 1 or y_count < 1:
-        raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
-    total = x_count + y_count
-    normalized: list[Edge] = []
-    seen: set[Edge] = set()
-    for u, v in edges:
-        if not (0 <= u < total and 0 <= v < total):
-            raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
-        lo, hi = (u, v) if u <= v else (v, u)
-        if lo >= x_count or hi < x_count:
-            raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
-        if (lo, hi) in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) given twice")
-        seen.add((lo, hi))
-        normalized.append((lo, hi))
-    return BipartiteGraph(x_count, y_count, tuple(sorted(normalized)))
+    """The checked graph with these parts and edges; see :class:`BipartiteGraph`."""
+    return BipartiteGraph(x_count, y_count, edges)
 
 
 def edge_count(g: BipartiteGraph) -> int:

@@ -42,6 +42,19 @@ def no_disk_k33_drawing() -> od.Drawing:
     return od.build_drawing(k33(), list(NO_DISK_K33_CROSSING), dict(NO_DISK_K33_ROTATION))
 
 
+def huge_claim_document() -> dict:
+    """A drawing document of about a hundred bytes that claims 10**12 + 1
+    vertices and gives none of them a rotation."""
+    return {
+        "schema": "onedisk-drawing/1",
+        "graph": {"schema": "onedisk-graph/1", "x_count": 10**12, "y_count": 1,
+                  "edges": []},
+        "crossings": [],
+        "rotation": {},
+        "one_disk_face": None,
+    }
+
+
 def assert_no_violations(g: od.BipartiteGraph, d: od.Drawing | None = None) -> None:
     report = od.check(g, d)
     assert not report.violations(), [

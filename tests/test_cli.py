@@ -7,7 +7,7 @@ import sys
 import onedisk as od
 from onedisk.cli import main
 
-from conftest import FIXTURES, _count_traces, no_disk_k33_drawing
+from conftest import FIXTURES, _count_traces, huge_claim_document, no_disk_k33_drawing
 
 
 def test_construct_verify_round(tmp_path, capsys):
@@ -141,6 +141,26 @@ def test_bounds_requires_arguments():
     assert main(["bounds"]) == 2
 
 
+def test_bounds_argument_conflicts_are_usage_errors(tmp_path, capsys):
+    assert main(["bounds", "--x", "3", "--y", "3",
+                 "--drawing", str(tmp_path / "absent.json")]) == 2
+    g, _ = od.construct_extremal(3, 3)
+    od.save_graph(g, tmp_path / "g.json")
+    assert main(["bounds", "--graph", str(tmp_path / "g.json"), "--x", "9", "--y", "1"]) == 2
+    assert main(["bounds", "--graph", str(tmp_path / "g.json"), "--y", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("bounds: ") == 3
+
+
+def test_verify_huge_claimed_vertex_count(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge_claim_document()), encoding="utf-8")
+    assert main(["verify", "--drawing", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"].startswith("IncompleteRotation")
+    assert len(payload["reason"]) < 300
+
+
 def test_search_json(tmp_path, capsys):
     witness = tmp_path / "w.json"
     rc = main(["search", "--x", "2", "--y", "2", "--json",
@@ -150,7 +170,7 @@ def test_search_json(tmp_path, capsys):
     assert payload["max_edges"] == 4
     assert set(payload) == {"x", "y", "max_edges", "candidates", "witness_path",
                             "witness_crossings"}
-    assert od.verify_one_planar(od.load_drawing(witness))
+    assert od.edge_count(od.load_drawing(witness).graph) == 4
 
 
 def test_search_budget_exit_code(capsys):

