@@ -19,14 +19,9 @@ from .bounds import (
 )
 from .construct import (
     ConstructError,
-    DrawingBuilder,
-    KTooSmall,
-    NotATriangle,
     UncoveredRegime,
     construct_extremal,
     double,
-    insert_b3,
-    maximal_outerplanar,
 )
 from .documents import (
     ParseError,
@@ -83,17 +78,14 @@ __all__ = [
     "Crossing",
     "DisconnectedPlanarization",
     "Drawing",
-    "DrawingBuilder",
     "DrawingError",
     "DuplicateEdge",
     "EdgeCrossedTwice",
     "FaceWalk",
     "GraphError",
     "IncompleteRotation",
-    "KTooSmall",
     "NoOneDiskFace",
     "NonAlternatingDummy",
-    "NotATriangle",
     "NotPlanarEmbedding",
     "OutOfDomain",
     "ParseError",
@@ -113,13 +105,11 @@ __all__ = [
     "export_svg",
     "find_one_disk_face",
     "huang_max_edges",
-    "insert_b3",
     "is_one_disk_drawable",
     "karpov_max_edges",
     "load_drawing",
     "load_graph",
     "max_edges_one_disk",
-    "maximal_outerplanar",
     "new_bipartite",
     "one_disk_max_edges",
     "problem_target_edges",

@@ -12,8 +12,12 @@ X vertices, doubling the edge count while keeping 1-planarity.
 No coordinates are involved.  The scaffold's rotation system comes from
 the cyclic order of the polygon, each gadget is a fixed rotation template
 spliced into the corners of its triangle, and the nested vertices are
-spliced into the hull corner at vertices 0 and 1.  ``build_drawing``
-then checks the result like any other drawing.
+spliced into the hull corner at vertices 0 and 1.  The part sizes are
+known before the first gadget, so every Y vertex and dummy gets its final
+id when it is made.  ``build_drawing`` then checks the result like any
+other drawing, so the staging helpers (``maximal_outerplanar``,
+``DrawingBuilder``, ``insert_b3``) guard nothing themselves and are not
+exported from the package.
 """
 
 from __future__ import annotations
@@ -35,14 +39,6 @@ from .graph import BipartiteGraph, Edge, new_bipartite
 
 class ConstructError(ValueError):
     """A construction precondition failed."""
-
-
-class KTooSmall(ConstructError):
-    """Maximal outerplanar scaffolds need at least three vertices."""
-
-
-class NotATriangle(ConstructError):
-    """The face handed to the gadget insertion is not an open inner triangle."""
 
 
 class UncoveredRegime(ConstructError):
@@ -131,8 +127,6 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
     chords), ``seed:<n>`` (seeded random ear cutting).  All yield the same
     counts; only the triangle shapes differ.
     """
-    if k < 3:
-        raise KTooSmall(f"need at least 3 vertices, got {k}")
     kind, seed = _parse_strategy(strategy)
     if kind == "fan":
         chords = _fan_chords(k)
@@ -169,15 +163,6 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class B3Pattern:
-    """Bookkeeping for one inserted gadget: ids of the pieces it added."""
-
-    corners: tuple[int, int, int]
-    interior: tuple[int, int, int]
-    crossings: tuple[tuple[Edge, Edge], ...]
-
-
 # The gadget inside a triangle with corners c0, c1, c2 (in the walk order
 # of the triangle's face): interior vertices b0, b1, b2, each joined to
 # all three corners.  Crossing j pairs the edges _GADGET_CROSSING_PAIRS[j]
@@ -204,50 +189,41 @@ _GADGET_WEDGES = ("d1 b0 d0", "d0 b1 d2", "d2 b2 d1")
 class DrawingBuilder:
     """Drawing under construction: a rotation system grown in place.
 
-    Starts from the scaffold's rotation system; gadgets and nested
-    vertices add nodes with fixed rotations and splice their edges into
-    the rotations of the scaffold vertices.  Dummy nodes are numbered
-    only at the end, once the vertex count is known; until then crossing
-    i is the negative key ``-1 - i``.  Scaffold edges stay in the
-    rotation system and are dropped from the finished bipartite drawing.
+    Starts from the scaffold's rotation system and the final Y count, so
+    every node gets its final id when it is made: Y vertices from
+    ``scaffold_count`` on, the dummy of crossing i at
+    ``scaffold_count + y_count + i``.  Gadgets and nested vertices add
+    nodes with fixed rotations and splice their edges into the rotations
+    of the scaffold vertices.  Scaffold edges stay in the rotation system
+    and are dropped from the finished bipartite drawing.
     """
 
-    def __init__(self, scaffold: OuterplanarSkeleton):
-        self._scaffold_count = scaffold.vertex_count
+    def __init__(self, scaffold: OuterplanarSkeleton, y_count: int):
+        self.scaffold_count = scaffold.vertex_count
+        self.y_count = y_count
         self._rotation: dict[int, list[int]] = {
             v: list(order) for v, order in scaffold.rotation.items()
         }
-        self._y_count = 0
+        self._next_y = self.scaffold_count
         self._edges: list[Edge] = []
         self._crossings: list[tuple[Edge, Edge]] = []
-        self._pending: list[FaceWalk] = list(scaffold.triangles)
-        self._outer = scaffold.outer_face
-
-    @property
-    def scaffold_count(self) -> int:
-        return self._scaffold_count
-
-    @property
-    def y_count(self) -> int:
-        return self._y_count
 
     def add_y_vertex(self) -> int:
-        vid = self._scaffold_count + self._y_count
-        self._y_count += 1
+        vid = self._next_y
+        self._next_y += 1
         self._rotation[vid] = []
         return vid
 
     def add_edge(self, u: int, v: int) -> Edge:
-        e = (min(u, v), max(u, v))
-        self._edges.append(e)
-        return e
+        self._edges.append((u, v))
+        return (u, v)
 
     def add_crossing(self, edge_a: Edge, edge_b: Edge) -> int:
-        """Record a crossing; returns the key of its dummy node."""
-        key = -1 - len(self._crossings)
+        """Record a crossing; returns its dummy node."""
+        dummy = self.scaffold_count + self.y_count + len(self._crossings)
         self._crossings.append((edge_a, edge_b))
-        self._rotation[key] = []
-        return key
+        self._rotation[dummy] = []
+        return dummy
 
     def set_rotation(self, node: int, order: Sequence[int]) -> None:
         self._rotation[node] = list(order)
@@ -258,57 +234,36 @@ class DrawingBuilder:
         i = order.index(after) + 1
         order[i:i] = wedge
 
-    def claim_triangle(self, face: FaceWalk) -> FaceWalk:
-        """Remove and return the matching open inner triangle."""
-        if len(face) != 3 or len(set(face.nodes)) != 3:
-            raise NotATriangle(f"face walk of length {len(face)} is not a triangle")
-        if face == self._outer:
-            raise NotATriangle("the outer face is not an inner triangle")
-        for i, tri in enumerate(self._pending):
-            if tri == face:
-                return self._pending.pop(i)
-        raise NotATriangle("face is not an open inner triangle of this scaffold")
-
     def derive_rotation(self) -> dict[int, tuple[int, ...]]:
-        """The rotation system so far without the scaffold edges, with
-        dummies numbered n + i."""
-        n = self._scaffold_count + self._y_count
-        xs = range(self._scaffold_count)
-
-        def node(key: int) -> int:
-            return key if key >= 0 else n - 1 - key
-
+        """The rotation system so far without the scaffold edges."""
+        x = self.scaffold_count
         return {
-            node(v): tuple(
-                node(u) for u in order if not (v in xs and u in xs)
-            )
+            v: tuple(u for u in order if not (v < x and u < x))
             for v, order in self._rotation.items()
         }
 
     def finish(self) -> tuple[BipartiteGraph, Drawing]:
         """Drop the scaffold edges and assemble the validated drawing."""
-        g = new_bipartite(self._scaffold_count, self.y_count, self._edges)
+        g = new_bipartite(self.scaffold_count, self.y_count, self._edges)
         return g, build_drawing(g, self._crossings, self.derive_rotation())
 
 
-def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> B3Pattern:
-    """Place the crossing gadget inside one open inner triangle.
+def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
+    """Place the crossing gadget inside one inner triangle of the scaffold.
 
     Adds three Y vertices joined to all three corners (nine edges) and
     the gadget's three crossings, spliced into the corners' rotations
-    between the triangle's sides.  The triangle is consumed; inserting
-    into the outer face, a filled triangle, or any other walk raises
-    NotATriangle.
+    between the triangle's sides.
     """
-    claimed = builder.claim_triangle(triangle)
-    corners = claimed.nodes
+    corners = triangle.nodes
     interior = tuple(builder.add_y_vertex() for _ in range(3))
     edge_of: dict[tuple[int, int], Edge] = {}
     for bi, b in enumerate(interior):
         for ci, c in enumerate(corners):
             edge_of[(bi, ci)] = builder.add_edge(c, b)
-    crossings = tuple((edge_of[a], edge_of[b]) for a, b in _GADGET_CROSSING_PAIRS)
-    dummies = [builder.add_crossing(ea, eb) for ea, eb in crossings]
+    dummies = [
+        builder.add_crossing(edge_of[a], edge_of[b]) for a, b in _GADGET_CROSSING_PAIRS
+    ]
 
     ids = {}
     for i in range(3):
@@ -317,7 +272,6 @@ def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> B3Pattern:
         builder.set_rotation(ids[name], [ids[t] for t in order.split()])
     for i, wedge in enumerate(_GADGET_WEDGES):
         builder.splice(corners[i], corners[i - 1], [ids[t] for t in wedge.split()])
-    return B3Pattern(corners, interior, crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +289,7 @@ def _two_column(y: int) -> tuple[BipartiteGraph, Drawing]:
     return g, build_drawing(g, [], rotation)
 
 
-def _attach_nested_pair(builder: DrawingBuilder, count: int) -> list[int]:
+def _attach_nested_pair(builder: DrawingBuilder, count: int) -> None:
     """Nest ``count`` degree-2 Y vertices onto hull vertices 0 and 1.
 
     They sit in the unbounded face beside the hull edge 0-1, w1 innermost,
@@ -351,7 +305,6 @@ def _attach_nested_pair(builder: DrawingBuilder, count: int) -> list[int]:
         added.append(w)
     builder.splice(0, builder.scaffold_count - 1, added[::-1])
     builder.splice(1, 0, added)
-    return added
 
 
 def construct_extremal(
@@ -376,7 +329,7 @@ def construct_extremal(
             f"no construction covers x={x}, y={y} (requires y >= {3 * (x - 2)})"
         )
     scaffold = maximal_outerplanar(x, strategy)
-    builder = DrawingBuilder(scaffold)
+    builder = DrawingBuilder(scaffold, y)
     for tri in scaffold.triangles:
         insert_b3(builder, tri)
     if t:

@@ -98,10 +98,11 @@ def _is_connected(g: BipartiteGraph) -> bool:
     return len(reachable(_planarization_adjacency(g, ()), 0)) == g.vertex_count
 
 
-def _rotation_candidates(nbrs: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _rotation_candidates(nbrs: tuple[int, ...]):
     """All distinct cyclic orders of the (nonempty) neighbor set, lexicographically."""
     first, rest = nbrs[0], nbrs[1:]
-    return [(first,) + perm for perm in permutations(rest)]
+    for perm in permutations(rest):
+        yield (first,) + perm
 
 
 def _dummy_candidates(edge_a: Edge, edge_b: Edge) -> list[tuple[int, int, int, int]]:
@@ -130,7 +131,15 @@ def _decide_drawable(
         adj = _planarization_adjacency(g, crossings)
         candidates = [_rotation_candidates(tuple(sorted(adj[v]))) for v in range(g.vertex_count)]
         candidates += [_dummy_candidates(c.edge_a, c.edge_b) for c in crossings]
-        succ_options = [[_successors(rot) for rot in cand] for cand in candidates]
+        succ_options = []
+        built = 0
+        for cand in candidates:
+            succ_options.append([])
+            for rot in cand:
+                built += 1
+                if built % _TICK == 0 and time.monotonic() > deadline:
+                    raise _out_of_time(limits, "listing rotations")
+                succ_options[-1].append(_successors(rot))
         sides = [(v, u) for v, nbrs in adj.items() for u in nbrs]
         target_faces = 2 - len(adj) + len(sides) // 2
 
@@ -192,8 +201,6 @@ def _canonical_edges(
             candidate = tuple(tuple(matrix[r][c] for c in cols) for r in rows)
             if best is None or candidate < best:
                 best = candidate
-    if best is None:
-        raise RuntimeError(f"no relabeling enumerated for parts ({x}, {y})")
     return tuple((i, x + j) for i in range(x) for j in range(y) if best[i][j])
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import onedisk as od
 from onedisk import construct as construct_mod
-from onedisk.construct import DrawingBuilder
+from onedisk.construct import DrawingBuilder, insert_b3, maximal_outerplanar
 from onedisk.drawing import rotation_faces
 
 from conftest import no_disk_k33_drawing, planar_k22_drawing
@@ -21,14 +23,14 @@ def _degree(g: od.BipartiteGraph, v: int) -> int:
 
 
 def test_skeleton_k3_is_triangle():
-    s = od.maximal_outerplanar(3)
+    s = maximal_outerplanar(3)
     assert len(s.edges) == 3
     assert len(s.triangles) == 1
     assert len(s.outer_face) == 3
 
 
 def test_skeleton_k5_fan():
-    s = od.maximal_outerplanar(5, "fan")
+    s = maximal_outerplanar(5, "fan")
     assert len(s.edges) == 7
     assert len(s.triangles) == 3
     assert set(s.edges) >= {(0, 2), (0, 3)}
@@ -36,7 +38,7 @@ def test_skeleton_k5_fan():
 
 def test_skeleton_k4_counts_all_strategies():
     for strategy in ("fan", "zigzag", "seed:1"):
-        s = od.maximal_outerplanar(4, strategy)
+        s = maximal_outerplanar(4, strategy)
         assert len(s.edges) == 5
         assert len(s.triangles) == 2
 
@@ -44,7 +46,7 @@ def test_skeleton_k4_counts_all_strategies():
 def test_skeleton_counts_strategy_independent():
     for k in range(3, 10):
         for strategy in ("fan", "zigzag", "seed:0", "seed:99"):
-            s = od.maximal_outerplanar(k, strategy)
+            s = maximal_outerplanar(k, strategy)
             assert len(s.edges) == 2 * k - 3
             assert len(s.triangles) == k - 2
             assert all(len(t) == 3 for t in s.triangles)
@@ -52,14 +54,14 @@ def test_skeleton_counts_strategy_independent():
 
 
 def test_skeleton_zigzag_differs_from_fan():
-    fan = od.maximal_outerplanar(6, "fan")
-    zig = od.maximal_outerplanar(6, "zigzag")
+    fan = maximal_outerplanar(6, "fan")
+    zig = maximal_outerplanar(6, "zigzag")
     assert set(fan.edges) != set(zig.edges)
 
 
 def test_seeded_skeleton_deterministic():
-    a = od.maximal_outerplanar(8, "seed:42")
-    b = od.maximal_outerplanar(8, "seed:42")
+    a = maximal_outerplanar(8, "seed:42")
+    b = maximal_outerplanar(8, "seed:42")
     assert a.edges == b.edges
 
 
@@ -72,7 +74,7 @@ _strategies = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(3, 60), strategy=_strategies)
 def test_skeleton_rotation_is_polygon_order(k, strategy):
-    s = od.maximal_outerplanar(k, strategy)
+    s = maximal_outerplanar(k, strategy)
     for v, order in s.rotation.items():
         expected = sorted(order, key=lambda w: (w - v) % k)
         i = order.index(expected[0])
@@ -82,18 +84,13 @@ def test_skeleton_rotation_is_polygon_order(k, strategy):
 def test_skeleton_rotation_starts_past_the_half_turn():
     # For even k the chord 0 -> k/2 points exactly at angle pi, the last
     # bearing of the range (-pi, pi]; the rotation starts after it.
-    order = od.maximal_outerplanar(26, "fan").rotation[0]
+    order = maximal_outerplanar(26, "fan").rotation[0]
     assert order[0] == 14 and order[-1] == 13
-
-
-def test_k_too_small():
-    with pytest.raises(od.KTooSmall):
-        od.maximal_outerplanar(2)
 
 
 def test_unknown_strategy():
     with pytest.raises(ValueError):
-        od.maximal_outerplanar(5, "spiral")
+        maximal_outerplanar(5, "spiral")
 
 
 # ---------------------------------------------------------------------------
@@ -102,51 +99,31 @@ def test_unknown_strategy():
 
 
 def test_insert_b3_fragment_counts_and_euler():
-    s = od.maximal_outerplanar(3)
-    builder = DrawingBuilder(s)
-    pattern = od.insert_b3(builder, s.triangles[0])
-    assert len(pattern.interior) == 3
-    assert len(pattern.crossings) == 3
+    s = maximal_outerplanar(3)
+    builder = DrawingBuilder(s, 3)
+    insert_b3(builder, s.triangles[0])
     # The fragment without the scaffold: 6 original nodes + 3 dummies,
     # 9 edges, 3 crossings -> 9 + 2 * 3 = 15 segments, so Euler needs 8 faces.
     rotation = builder.derive_rotation()
-    assert len(rotation) == 9
+    assert sorted(rotation) == list(range(9))
     assert sum(len(order) for order in rotation.values()) == 2 * 15
     faces = rotation_faces(rotation)
     assert len(faces) == 2 - 9 + 15 == 8
+    g, d = builder.finish()
+    assert g.y_count == 3
+    assert od.edge_count(g) == 9
+    assert od.crossing_count(d) == 3
 
 
 def test_insert_b3_all_triangles_k5():
-    s = od.maximal_outerplanar(5, "fan")
-    builder = DrawingBuilder(s)
+    s = maximal_outerplanar(5, "fan")
+    builder = DrawingBuilder(s, 9)
     for tri in s.triangles:
-        od.insert_b3(builder, tri)
+        insert_b3(builder, tri)
     g, d = builder.finish()
     assert g.y_count == 9
     assert od.edge_count(g) == 27
     assert od.crossing_count(d) == 9
-
-
-def test_insert_b3_rejects_outer_face():
-    s = od.maximal_outerplanar(3)
-    builder = DrawingBuilder(s)
-    with pytest.raises(od.NotATriangle):
-        od.insert_b3(builder, s.outer_face)
-
-
-def test_insert_b3_rejects_reuse():
-    s = od.maximal_outerplanar(4)
-    builder = DrawingBuilder(s)
-    od.insert_b3(builder, s.triangles[0])
-    with pytest.raises(od.NotATriangle):
-        od.insert_b3(builder, s.triangles[0])
-
-
-def test_insert_b3_rejects_non_triangle_walk():
-    s = od.maximal_outerplanar(5)
-    builder = DrawingBuilder(s)
-    with pytest.raises(od.NotATriangle):
-        od.insert_b3(builder, s.outer_face)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +180,25 @@ def test_extremal_deterministic():
     a = od.construct_extremal(5, 9)
     b = od.construct_extremal(5, 9)
     assert a == b
+
+
+# sha256 of the documents save_drawing writes for construct_extremal(x,
+# 3(x - 2) + 1, strategy) with x in (26, 52) and strategies fan, zigzag,
+# seed:7, each followed by its double: larger scaffolds than the golden
+# grid of test_golden.py, whose x stops at 12.
+BEYOND_GRID_SHA256 = "02d660edc3410d352b60ae952486fdd29cf08bc55bbaa9fb4b1b36d8ecdc1bb2"
+
+
+def test_extremal_documents_beyond_grid_are_byte_identical(tmp_path):
+    digest = hashlib.sha256()
+    path = tmp_path / "d.json"
+    for x in (26, 52):
+        for strategy in ("fan", "zigzag", "seed:7"):
+            _, d = od.construct_extremal(x, 3 * (x - 2) + 1, strategy)
+            for drawing in (d, od.double(d).drawing_star):
+                od.save_drawing(drawing, path)
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == BEYOND_GRID_SHA256
 
 
 def test_uncovered_regime():

@@ -15,15 +15,15 @@ import onedisk
 PUBLIC_NAMES = [
     "AdjacentEdgesCross", "BipartiteGraph", "BoundsReport", "BudgetExceeded",
     "ConstructError", "Crossing", "DisconnectedPlanarization", "Drawing",
-    "DrawingBuilder", "DrawingError", "DuplicateEdge", "EdgeCrossedTwice", "FaceWalk",
-    "GraphError", "IncompleteRotation", "KTooSmall", "NoOneDiskFace",
-    "NonAlternatingDummy", "NotATriangle", "NotPlanarEmbedding", "OutOfDomain",
+    "DrawingError", "DuplicateEdge", "EdgeCrossedTwice", "FaceWalk",
+    "GraphError", "IncompleteRotation", "NoOneDiskFace",
+    "NonAlternatingDummy", "NotPlanarEmbedding", "OutOfDomain",
     "ParseError", "SamePartEdge", "SearchLimits", "UncoveredRegime", "ValidationError",
     "VertexOutOfRange", "build_drawing", "check", "classic_max_edges",
     "construct_extremal", "crossing_count", "czap_max_edges", "double", "edge_count",
-    "export_svg", "find_one_disk_face", "huang_max_edges", "insert_b3",
+    "export_svg", "find_one_disk_face", "huang_max_edges",
     "is_one_disk_drawable", "karpov_max_edges", "load_drawing", "load_graph",
-    "max_edges_one_disk", "maximal_outerplanar", "new_bipartite", "one_disk_max_edges",
+    "max_edges_one_disk", "new_bipartite", "one_disk_max_edges",
     "problem_target_edges", "rotation_faces", "save_drawing", "save_graph",
     "trace_faces", "verification_failure",
 ]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import subprocess
+import sys
 import time
 from itertools import combinations
 
@@ -109,6 +112,37 @@ def test_canonicalization_honours_budget():
     with pytest.raises(od.BudgetExceeded):
         od.max_edges_one_disk(2, 10, od.SearchLimits(time_budget=0.5))
     assert time.monotonic() - start < 5.0
+
+
+_K2_10_BUDGET_CHILD = """
+import json, resource, time
+import onedisk as od
+g = od.new_bipartite(2, 10, [(i, 2 + j) for i in range(2) for j in range(10)])
+start = time.monotonic()
+try:
+    od.is_one_disk_drawable(g, od.SearchLimits(time_budget=0.2))
+    raised = False
+except od.BudgetExceeded:
+    raised = True
+print(json.dumps({
+    "raised": raised,
+    "seconds": time.monotonic() - start,
+    "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_rotation_listing_honours_budget():
+    # Each X vertex of K2,10 has 9! cyclic orders; listing them all takes
+    # seconds and hundreds of MB, so the deadline must cut into the listing.
+    # A fresh process keeps the peak RSS of other tests out of the reading.
+    result = subprocess.run([sys.executable, "-c", _K2_10_BUDGET_CHILD],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["raised"]
+    assert report["seconds"] < 1.0
+    assert report["maxrss_mb"] < 150
 
 
 def test_disk_face_disagreement_is_runtime_error(monkeypatch):
