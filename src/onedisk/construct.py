@@ -394,8 +394,8 @@ def double(d: Drawing) -> DoublingResult:
     g_star = new_bipartite(
         x, 2 * y, list(g.edges) + [mirror_edge(e) for e in g.edges]
     )
-    pairs = [(cr.edge_a, cr.edge_b) for cr in d.crossings]
-    pairs += [(mirror_edge(cr.edge_a), mirror_edge(cr.edge_b)) for cr in d.crossings]
+    pairs = list(d.crossings)
+    pairs += [(mirror_edge(a), mirror_edge(b)) for a, b in d.crossings]
 
     rot: dict[int, tuple[int, ...]] = {}
     for v in range(x, n + c):
@@ -403,12 +403,10 @@ def double(d: Drawing) -> DoublingResult:
         rot[mirror(v)] = tuple(mirror(w) for w in reversed(d.rotation[v]))
     gaps = _disk_gaps(disk, x)
     for v in range(x):
-        p, q = gaps[v]
+        _, q = gaps[v]
         r = d.rotation[v]
         i = r.index(q)
         linear = r[i:] + r[:i]
-        if linear[-1] != p:
-            raise RuntimeError("disk face walk disagrees with the rotation system")
         rot[v] = tuple(keep(w) for w in linear) + tuple(
             mirror(w) for w in reversed(linear)
         )

@@ -23,7 +23,7 @@ rejected with ParseError, though Python counts bool as int.
 
 Loading always re-runs full drawing validation; a well-formed file whose
 content breaks an invariant raises ValidationError, never a half-built
-object.  Malformed files raise ParseError.
+object.  Malformed files raise ParseError, undecodable ones included.
 
 Saved files are byte-identical to ``json.dumps(doc, indent=2,
 sort_keys=True)`` plus a final newline, in UTF-8: two-space indent, one
@@ -191,11 +191,11 @@ def _dump(doc: dict, path) -> None:
 def _load(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
         raise ParseError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(doc, dict):
         raise ParseError(f"top level of {path} must be an object")

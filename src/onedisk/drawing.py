@@ -1,12 +1,12 @@
 """Combinatorial 1-planar drawings stored as planarizations.
 
 A drawing of a bipartite graph is held without coordinates: the abstract
-graph, a list of crossings (each one a degree-4 dummy node splitting two
-independent edges into segments), and a rotation system assigning every
-planarization node the counterclockwise cyclic order of its incident
-segments.  Because each edge is crossed at most once and crossing edges
-share no endpoint, the planarization is itself a simple graph, so a
-rotation is simply a cyclic sequence of neighbor node ids.
+graph, a list of crossings (crossings[i] a pair of independent edges split
+into segments at the degree-4 dummy node vertex_count + i), and a rotation
+system giving every planarization node the counterclockwise cyclic order
+of its incident segments.  Because each edge is crossed at most once and
+crossing edges share no endpoint, the planarization is itself a simple
+graph, so a rotation is simply a cyclic sequence of neighbor node ids.
 
 Faces are recovered by the standard successor walk: after arriving at v
 along segment (u, v), leave along (v, w) where w follows u in the cyclic
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import BipartiteGraph, Edge, reachable
 
@@ -172,13 +172,15 @@ def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """Two independent edges meeting transversally at a dummy node."""
+class Crossing(NamedTuple):
+    """A pair of independent edges that cross once.
+
+    A crossing names no node: in a Drawing the dummy of crossings[i] is
+    graph.vertex_count + i.
+    """
 
     edge_a: Edge
     edge_b: Edge
-    dummy: int
 
 
 @dataclass(frozen=True)
@@ -186,13 +188,15 @@ class Drawing:
     """A connected 1-planar sphere drawing, checked when it is made.
 
     Planarization node ids: original vertices keep their graph ids, the
-    dummy of crossings[i] is graph.vertex_count + i.  ``crossings`` may
-    hold Crossing values or plain (edge, edge) pairs; each is stored in
-    normal form, its edges sorted.  Every rotation is stored read-only
-    and starting at its smallest neighbor id, so structurally equal
-    drawings compare equal.  Any violated invariant, including genus > 0
-    found by face tracing, raises a DrawingError subclass.  ``_faces``
-    holds the traced faces; it takes no part in equality or repr.
+    dummy of crossings[i] is graph.vertex_count + i.  A crossing is a
+    pair of edges, given as a Crossing or a plain (edge, edge) pair, and
+    is stored as a Crossing in normal form, its edges sorted;
+    ``crossed_edges()`` maps each crossed edge to the id of its dummy.
+    Every rotation is stored read-only and starting at its smallest
+    neighbor id, so structurally equal drawings compare equal.  Any
+    violated invariant, including genus > 0 found by face tracing,
+    raises a DrawingError subclass.  ``_faces`` holds the traced faces;
+    it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
@@ -223,50 +227,44 @@ class Drawing:
     def segment_count(self) -> int:
         return len(self.graph.edges) + 2 * len(self.crossings)
 
-    def crossed_edges(self) -> dict[Edge, Crossing]:
-        return {e: c for c in self.crossings for e in (c.edge_a, c.edge_b)}
+    def crossed_edges(self) -> dict[Edge, int]:
+        """Each crossed edge mapped to the id of its crossing's dummy."""
+        return _crossed(self.graph, self.crossings)
 
 
 def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ...]:
     """The crossings in normal form; raises on a missing edge, then on
     AdjacentEdgesCross, then on EdgeCrossedTwice."""
     edge_set = set(graph.edges)
-    n = graph.vertex_count
     out: list[Crossing] = []
-    for i, item in enumerate(crossings):
-        if isinstance(item, Crossing):
-            ea, eb, dummy = item.edge_a, item.edge_b, item.dummy
-            if dummy != n + i:
-                raise DrawingError(
-                    f"crossing {i} carries dummy id {dummy}, expected {n + i}"
-                )
-        else:
-            ea, eb = item
-            dummy = n + i
-        ea = tuple(sorted(ea))
-        eb = tuple(sorted(eb))
-        if eb < ea:
-            ea, eb = eb, ea
+    for i, (ea, eb) in enumerate(crossings):
+        ea, eb = sorted((tuple(sorted(ea)), tuple(sorted(eb))))
         for e in (ea, eb):
             if e not in edge_set:
                 raise DrawingError(f"crossing {i} references missing edge {e}")
         if set(ea) & set(eb):
             raise AdjacentEdgesCross(f"edges {ea} and {eb} share an endpoint")
-        out.append(Crossing(ea, eb, dummy))
+        out.append(Crossing(ea, eb))
     crossed: set[Edge] = set()
     for c in out:
-        for e in (c.edge_a, c.edge_b):
+        for e in c:
             if e in crossed:
                 raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
             crossed.add(e)
     return tuple(out)
 
 
+def _crossed(graph: BipartiteGraph, crossings: Sequence[Crossing]) -> dict[Edge, int]:
+    """Each edge of normalized ``crossings`` mapped to its dummy id."""
+    n = graph.vertex_count
+    return {e: n + i for i, c in enumerate(crossings) for e in c}
+
+
 def _planarization_adjacency(
     graph: BipartiteGraph, crossings: Sequence[Crossing]
 ) -> dict[int, set[int]]:
     """Neighbor sets of the planarization of normalized ``crossings``."""
-    crossed = {e: c.dummy for c in crossings for e in (c.edge_a, c.edge_b)}
+    crossed = _crossed(graph, crossings)
     adj = {v: set() for v in range(graph.vertex_count + len(crossings))}
     for e in graph.edges:
         u, v = e
@@ -298,14 +296,14 @@ def _validate_structure(
                 f"order of {sorted(adj[v])}"
             )
 
-    for c in crossings:
-        order = rotation[c.dummy]
+    for dummy, c in enumerate(crossings, graph.vertex_count):
+        order = rotation[dummy]
         if len(order) != 4:
-            raise NonAlternatingDummy(f"dummy {c.dummy} has degree {len(order)}")
+            raise NonAlternatingDummy(f"dummy {dummy} has degree {len(order)}")
         a_slots = {i for i, v in enumerate(order) if v in c.edge_a}
         if a_slots not in ({0, 2}, {1, 3}):
             raise NonAlternatingDummy(
-                f"dummy {c.dummy} rotation {order} does not alternate "
+                f"dummy {dummy} rotation {order} does not alternate "
                 f"{c.edge_a} with {c.edge_b}"
             )
 

@@ -6,11 +6,11 @@ to every X vertex, and computes the exact maximum edge count for small
 part sizes.  The search is independent of the constructions: candidate
 crossing sets are all matchings of pairwise independent edge pairs,
 dummy rotations are the two alternating orders, original vertices try
-every cyclic order, and a candidate survives only if face tracing
-satisfies Euler's formula.  Planarizations and face walks come from
-:mod:`onedisk.drawing`, and whatever the search finds is re-verified by
-``build_drawing`` (structure, alternation at every dummy, Euler's
-formula) before being returned.
+every cyclic order, and a candidate survives only if its faces satisfy
+Euler's formula and one touches every X vertex.  The planarization,
+face walk and disk-face rule come from :mod:`onedisk.drawing`, and the
+witness is re-verified by ``build_drawing`` (structure, alternation at
+every dummy, Euler's formula) before being returned.
 
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
@@ -27,12 +27,13 @@ from itertools import combinations, permutations, product
 from .bounds import one_disk_max_edges
 from .drawing import (
     Drawing,
+    FaceWalk,
     _normalize_crossings,
     _planarization_adjacency,
     _successors,
     _walk_faces,
     build_drawing,
-    find_one_disk_face,
+    disk_face_index,
 )
 from .graph import BipartiteGraph, Edge, new_bipartite, reachable
 
@@ -105,9 +106,8 @@ def _rotation_candidates(nbrs: tuple[int, ...]):
         yield (first,) + perm
 
 
-def _dummy_candidates(edge_a: Edge, edge_b: Edge) -> list[tuple[int, int, int, int]]:
-    a1, a2 = edge_a
-    b1, b2 = edge_b
+def _dummy_candidates(c: tuple[Edge, Edge]) -> list[tuple[int, int, int, int]]:
+    (a1, a2), (b1, b2) = c
     return [(a1, b1, a2, b2), (a1, b2, a2, b1)]
 
 
@@ -122,7 +122,6 @@ def _decide_drawable(
     """The first verified witness in enumeration order, or None when the
     exhausted search has none; BudgetExceeded when the deadline passes."""
     edges = g.edges
-    xs = frozenset(range(g.x_count))
 
     for matching in _matchings(edges):
         if time.monotonic() > deadline:
@@ -130,7 +129,7 @@ def _decide_drawable(
         crossings = _normalize_crossings(g, [(edges[i], edges[j]) for i, j in matching])
         adj = _planarization_adjacency(g, crossings)
         candidates = [_rotation_candidates(tuple(sorted(adj[v]))) for v in range(g.vertex_count)]
-        candidates += [_dummy_candidates(c.edge_a, c.edge_b) for c in crossings]
+        candidates += [_dummy_candidates(c) for c in crossings]
         succ_options = []
         built = 0
         for cand in candidates:
@@ -149,16 +148,9 @@ def _decide_drawable(
             faces = _walk_faces(succ, sides)
             if len(faces) != target_faces:
                 continue
-            if not any(xs <= {u for u, _ in walk} for walk in faces):
+            if disk_face_index([FaceWalk(w) for w in faces], g.x_count) is None:
                 continue
-            rotation = {v: tuple(succ[v]) for v in adj}
-            witness = build_drawing(g, crossings, rotation)
-            if find_one_disk_face(witness) is None:
-                raise RuntimeError(
-                    f"the search saw a face touching every X vertex that "
-                    f"build_drawing does not trace for the {len(edges)}-edge graph"
-                )
-            return witness
+            return build_drawing(g, crossings, {v: tuple(succ[v]) for v in adj})
     return None
 
 

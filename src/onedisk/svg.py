@@ -81,7 +81,7 @@ def export_svg(d: Drawing, path) -> None:
         ux, uy = pos[u]
         vx, vy = pos[v]
         if e in crossed:
-            dx, dy = pos[crossed[e].dummy]
+            dx, dy = pos[crossed[e]]
             data = f"M {ux:.2f} {uy:.2f} L {dx:.2f} {dy:.2f} L {vx:.2f} {vy:.2f}"
         else:
             data = f"M {ux:.2f} {uy:.2f} L {vx:.2f} {vy:.2f}"

@@ -55,6 +55,16 @@ def huge_claim_document() -> dict:
     }
 
 
+# Files no document loader can decode: 400 KB of nested "[", a first byte
+# 0xFF that UTF-8 rejects, and an integer literal of 5,000 digits, beyond
+# what Python converts from text.
+UNDECODABLE_FILES = {
+    "nested": b"[" * 400_000,
+    "not_utf8": b"\xff{}",
+    "long_int": b'{"x_count": ' + b"9" * 5000 + b"}",
+}
+
+
 def assert_no_violations(g: od.BipartiteGraph, d: od.Drawing | None = None) -> None:
     report = od.check(g, d)
     assert not report.violations(), [

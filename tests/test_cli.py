@@ -4,10 +4,18 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import onedisk as od
 from onedisk.cli import main
 
-from conftest import FIXTURES, _count_traces, huge_claim_document, no_disk_k33_drawing
+from conftest import (
+    FIXTURES,
+    UNDECODABLE_FILES,
+    _count_traces,
+    huge_claim_document,
+    no_disk_k33_drawing,
+)
 
 
 def test_construct_verify_round(tmp_path, capsys):
@@ -57,6 +65,19 @@ def test_verify_malformed_file(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all", encoding="utf-8")
     assert main(["verify", "--drawing", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--drawing"], ["verify", "--json", "--drawing"], ["bounds", "--graph"],
+], ids=" ".join)
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_undecodable_file_exits_2(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE_FILES[name])
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_invalid_drawing_file(tmp_path, capsys):

@@ -263,8 +263,8 @@ def test_double_mirror_preserves_alternation():
     _, d = od.construct_extremal(3, 3)
     result = od.double(d)
     dd = result.drawing_star
-    for c in dd.crossings:
-        order = dd.rotation[c.dummy]
+    for dummy, c in enumerate(dd.crossings, dd.graph.vertex_count):
+        order = dd.rotation[dummy]
         slots = {i for i, v in enumerate(order) if v in c.edge_a}
         assert slots in ({0, 2}, {1, 3})
 

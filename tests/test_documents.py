@@ -11,7 +11,7 @@ import onedisk as od
 from onedisk import documents
 from onedisk.cli import main
 
-from conftest import FIXTURES, huge_claim_document, planar_k22_drawing
+from conftest import FIXTURES, UNDECODABLE_FILES, huge_claim_document, planar_k22_drawing
 
 
 def test_graph_round_trip(tmp_path):
@@ -36,6 +36,22 @@ def test_drawing_round_trip_grid(tmp_path):
         assert od.load_drawing(path) == d
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(3, 20),
+    t=st.integers(0, 3),
+    strategy=st.sampled_from(["fan", "zigzag"]) | st.integers(0, 999).map("seed:{}".format),
+)
+def test_drawing_round_trip_property(x, t, strategy, tmp_path_factory):
+    _, d = od.construct_extremal(x, 3 * (x - 2) + t, strategy)
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    for drawing in (d, od.double(d).drawing_star):
+        od.save_drawing(drawing, path)
+        assert od.load_drawing(path) == drawing
+    # Plain (edge, edge) pairs and Crossing values make equal drawings.
+    assert od.Drawing(d.graph, [tuple(c) for c in d.crossings], dict(d.rotation)) == d
+
+
 def test_save_is_canonical(tmp_path):
     _, d = od.construct_extremal(3, 3)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -56,6 +72,16 @@ def test_fixture_extremal_4_6():
 def test_malformed_json_is_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(documents.ParseError):
+        od.load_drawing(path)
+    with pytest.raises(documents.ParseError):
+        od.load_graph(path)
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_undecodable_file_is_parse_error(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE_FILES[name])
     with pytest.raises(documents.ParseError):
         od.load_drawing(path)
     with pytest.raises(documents.ParseError):

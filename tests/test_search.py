@@ -145,14 +145,6 @@ def test_rotation_listing_honours_budget():
     assert report["maxrss_mb"] < 150
 
 
-def test_disk_face_disagreement_is_runtime_error(monkeypatch):
-    # The search keeps a candidate only when its own walk meets a face
-    # touching every X vertex; build_drawing's faces must agree.
-    monkeypatch.setattr(search, "find_one_disk_face", lambda d: None)
-    with pytest.raises(RuntimeError, match="does not trace"):
-        od.is_one_disk_drawable(k22())
-
-
 def _reference_matchings(edges):
     """The definition: every set of pairwise disjoint independent edge pairs,
     filtered from all combinations of pairs, by size then lexicographically."""
