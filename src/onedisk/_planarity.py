@@ -1,0 +1,211 @@
+"""Planarity of small simple graphs, for the search's crossing-set filter.
+
+A graph is an adjacency map: every integer node mapped to the set of its
+neighbours, symmetric and without loops.  ``is_planar`` decides it in
+three steps, each of which keeps planarity:
+
+1. Nodes of degree at most one are peeled off, and each node of degree
+   two is suppressed: its two edges become one edge between its
+   neighbours, and a parallel edge this makes is dropped.  Drawing a
+   peeled node, a subdivision node or a parallel edge into a planar
+   drawing keeps it planar, so the reduced graph is planar exactly when
+   the input is.
+2. A simple planar graph on V >= 3 nodes has at most 3V - 6 edges, so a
+   reduced graph with more is rejected at once.
+3. A graph is planar exactly when each of its biconnected blocks is.  A
+   block on at most four nodes is a subgraph of K4, which is planar;
+   every larger block is embedded by the path-addition algorithm of
+   Demoucron, Malgrange and Pertuiset (1964), which fails exactly on
+   non-planar blocks.
+
+The search hands in graphs of a few dozen nodes, on which this quadratic
+method takes well under a millisecond; a linear-time test would be far
+more code.  Nothing here imports anything outside the standard library.
+"""
+
+from __future__ import annotations
+
+from typing import AbstractSet, Mapping
+
+Adjacency = Mapping[int, AbstractSet[int]]
+
+
+def is_planar(adj: Adjacency) -> bool:
+    """True when the simple graph ``adj`` has a plane embedding; ``adj``
+    is not modified."""
+    g = _reduced(adj)
+    nodes = len(g)
+    edges = sum(len(nbrs) for nbrs in g.values()) // 2
+    if nodes >= 3 and edges > 3 * nodes - 6:
+        return False
+    for block in _blocks(g):
+        if len(block) < 5:
+            continue
+        members = set(block)
+        if not _embeds({v: g[v] & members for v in block}):
+            return False
+    return True
+
+
+def _reduced(adj: Adjacency) -> dict:
+    """A copy of ``adj`` with every node of degree <= 2 peeled or suppressed,
+    repeatedly, so every node left has degree >= 3."""
+    g = {v: set(nbrs) for v, nbrs in adj.items()}
+    stack = [v for v, nbrs in g.items() if len(nbrs) <= 2]
+    while stack:
+        v = stack.pop()
+        nbrs = g.get(v)
+        if nbrs is None or len(nbrs) > 2:
+            continue
+        del g[v]
+        for u in nbrs:
+            g[u].discard(v)
+        if len(nbrs) == 2:
+            a, b = nbrs
+            g[a].add(b)
+            g[b].add(a)
+        stack.extend(nbrs)
+    return g
+
+
+def _blocks(g: dict) -> list[list]:
+    """The node lists of the biconnected blocks with at least one edge
+    (Hopcroft and Tarjan's depth-first search, without recursion)."""
+    index: dict = {}
+    low: dict = {}
+    blocks: list[list] = []
+    for root in g:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack = [root]
+        work = [(root, iter(g[root]))]
+        while work:
+            v, nbrs = work[-1]
+            for u in nbrs:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    work.append((u, iter(g[u])))
+                    break
+                # A back edge, or the tree edge to v's parent: low[v] may
+                # reach the parent itself, which the cut test below allows.
+                low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if not work:
+                    continue
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= index[parent]:
+                    block = [parent]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    blocks.append(block)
+    return blocks
+
+
+def _path(g: dict, start, goals, avoid) -> list:
+    """A shortest path from ``start`` to a node of ``goals`` that enters no
+    node of ``avoid`` on the way, as a node list; empty when none exists."""
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        following = []
+        for v in frontier:
+            for u in g[v]:
+                if u in parent:
+                    continue
+                parent[u] = v
+                if u in goals:
+                    path = [u]
+                    while path[-1] != start:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                if u not in avoid:
+                    following.append(u)
+        frontier = following
+    return []
+
+
+def _fragments(g: dict, placed: set, placed_edges: set) -> list[tuple[set, list]]:
+    """The fragments of ``g`` relative to the embedded subgraph: each edge
+    outside it between two placed nodes, and each component of the unplaced
+    nodes with the edges joining it to placed ones.  Each fragment is given
+    as its attachments (the placed nodes it touches) and a path through it
+    between two of them."""
+    out = []
+    for v in placed:
+        for u in g[v]:
+            if v < u and u in placed and (v, u) not in placed_edges:
+                out.append(({v, u}, [v, u]))
+    seen: set = set()
+    for s in g:
+        if s in placed or s in seen:
+            continue
+        comp = {s}
+        frontier = [s]
+        attachments = set()
+        while frontier:
+            v = frontier.pop()
+            for u in g[v]:
+                if u in placed:
+                    attachments.add(u)
+                elif u not in comp:
+                    comp.add(u)
+                    frontier.append(u)
+        seen |= comp
+        a = min(attachments)
+        # In a biconnected graph every fragment has two attachments or more.
+        inner = _path(g, next(u for u in g[a] if u in comp), attachments - {a}, placed)
+        out.append((attachments, [a] + inner))
+    return out
+
+
+def _embeds(g: dict) -> bool:
+    """Demoucron, Malgrange and Pertuiset's path addition on the biconnected
+    graph ``g`` (at least three nodes): True when it embeds in the plane.
+
+    Faces are node lists, simple cycles because every partial embedding of
+    a biconnected graph is biconnected.  Each round places one path of a
+    fragment in a face that holds all the fragment's attachments, taking a
+    fragment with a single such face when there is one; a fragment with no
+    such face proves the graph non-planar.
+    """
+    v = next(iter(g))
+    a, *others = g[v]
+    cycle = [v] + _path(g, a, set(others), {v})
+    placed = set(cycle)
+    placed_edges = set(zip(cycle, cycle[1:] + cycle[:1]))
+    placed_edges |= {(b, a) for a, b in placed_edges}
+    faces = [cycle, cycle[::-1]]
+    face_sets = [set(cycle), set(cycle)]
+    while True:
+        fragments = _fragments(g, placed, placed_edges)
+        if not fragments:
+            return True
+        chosen = None
+        for attachments, path in fragments:
+            homes = [k for k, fs in enumerate(face_sets) if attachments <= fs]
+            if not homes:
+                return False
+            if chosen is None or len(homes) < len(chosen[1]):
+                chosen = (path, homes)
+                if len(homes) == 1:
+                    break
+        path, homes = chosen
+        k = homes[0]
+        face = faces[k]
+        i, j = face.index(path[0]), face.index(path[-1])
+        if i > j:
+            i, j = j, i
+            path = path[::-1]
+        inner = path[1:-1]
+        first = face[i:j + 1] + inner[::-1]
+        second = face[j:] + face[:i + 1] + inner
+        faces[k], face_sets[k] = first, set(first)
+        faces.append(second)
+        face_sets.append(set(second))
+        placed.update(inner)
+        placed_edges.update(zip(path, path[1:]))
+        placed_edges.update(zip(path[1:], path))

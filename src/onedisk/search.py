@@ -1,16 +1,64 @@
 """Exhaustive oracle for tiny instances.
 
-Decides, by brute force over crossing sets and rotation systems, whether
-a small bipartite graph admits a 1-planar drawing with a face incident
-to every X vertex, and computes the exact maximum edge count for small
-part sizes.  The search is independent of the constructions: candidate
-crossing sets are all matchings of pairwise independent edge pairs,
-dummy rotations are the two alternating orders, original vertices try
-every cyclic order, and a candidate survives only if its faces satisfy
-Euler's formula and one touches every X vertex.  The planarization,
-face walk and disk-face rule come from :mod:`onedisk.drawing`, and the
-witness is re-verified by ``build_drawing`` (structure, alternation at
-every dummy, Euler's formula) before being returned.
+Decides whether a small bipartite graph G with parts X and Y has a
+1-disk drawing -- a 1-planar drawing with a face incident to every X
+vertex -- and computes the exact maximum edge count for small part
+sizes.  The search is independent of the constructions.  The crossings
+of a drawing form a matching of pairwise independent edge pairs, a
+crossing set; the search takes crossing sets by size, then
+lexicographically, and for each one
+
+1. skips it when its apex planarization is non-planar, and otherwise
+2. tries every rotation system of its planarization (each cyclic order
+   at an original vertex, the two alternating orders at a dummy) and
+   accepts the first whose faces satisfy Euler's formula and include
+   one that touches every X vertex.
+
+The planarization, face walk and disk-face rule come from
+:mod:`onedisk.drawing`, the planarity test from :mod:`onedisk._planarity`,
+and the witness is re-verified by ``build_drawing`` (structure,
+alternation at every dummy, Euler's formula) before being returned.
+
+The apex planarization of (G, C) is the planarization of G with crossing
+set C plus one apex node joined to every X vertex.  Write m = |E(G)|,
+c = |C|, x = |X| and y = |Y|.
+
+*Skipping is sound.*  A 1-disk drawing with crossing set C is a plane
+drawing of its planarization with every X vertex on one face; an apex
+placed in that face and joined to each X vertex adds no crossing.  So
+when the apex planarization is non-planar no drawing has crossing set C,
+and a skipped set never held a witness.  Step 2 still runs, in the same
+order, on every set that is not skipped, so the first witness is the one
+the search without step 1 returns.
+
+*Counting bound.*  If the apex planarization of (G, C) is planar, then
+c >= m - x - 2y + 2.  In a plane embedding of it, delete at each dummy
+the two segments of one of its edges and smooth the dummy away.  What
+is left is a plane drawing of G minus one edge per crossing, plus the
+apex: a simple bipartite graph, with the apex on the Y side since it
+is joined to X only, on x + y + 1 >= 3 nodes with m - c + x edges.  So
+m - c + x <= 2(x + y + 1) - 4.  Sets below this size are never listed;
+by the first fact they hold no witness.
+
+*Passing implies a witness.*  Let k be the least size of a crossing set
+whose apex planarization is planar, and C such a set.  In a plane
+embedding of its apex planarization, a dummy whose rotation does not
+alternate is a point where its two edges touch without crossing;
+redrawing them apart, each through the angle between its own two
+segments, embeds the apex planarization of C minus that crossing, a
+planar set of size k - 1, against the choice of k.  So every dummy
+alternates.  Deleting the apex merges the faces around it into one face
+that touches every X vertex, so the embedding restricted to the
+planarization is one of the rotation systems step 2 tries, and it
+passes.  Sizes ascend, so the first set that passes step 1 has size k:
+step 2 runs on that set alone and finds its witness there, and a "no"
+answer costs one planarity test per crossing set.
+
+*Free cases.*  The apex planarization of a connected G is connected,
+with cycle rank (m + 2c + x) - (x + y + c + 1) + 1 = m + c - y.  A
+non-planar graph contains a subdivision of K5 or K3,3 (Kuratowski),
+whose cycle ranks are 6 and 4, and no subgraph has a larger cycle rank
+than its graph, so a set with m + c - y <= 3 passes step 1 untested.
 
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
@@ -24,6 +72,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
+from ._planarity import is_planar
 from .bounds import one_disk_max_edges
 from .drawing import (
     Drawing,
@@ -75,10 +124,11 @@ def _out_of_time(limits: SearchLimits, doing: str) -> BudgetExceeded:
 # ---------------------------------------------------------------------------
 
 
-def _matchings(edges: tuple[Edge, ...]):
-    """All sets of pairwise disjoint pairs of independent edges, as index
-    pairs (i, j) with i < j, by size and then lexicographically.  Edges are
-    (x, y) pairs, so two are independent when both ends differ."""
+def _matchings(edges: tuple[Edge, ...], smallest: int = 0):
+    """All sets of at least ``smallest`` pairwise disjoint pairs of
+    independent edges, as index pairs (i, j) with i < j, by size and then
+    lexicographically.  Edges are (x, y) pairs, so two are independent when
+    both ends differ."""
     pairs = [(i, j) for i, j in combinations(range(len(edges)), 2)
              if edges[i][0] != edges[j][0] and edges[i][1] != edges[j][1]]
 
@@ -91,7 +141,7 @@ def _matchings(edges: tuple[Edge, ...]):
             if i not in used and j not in used:
                 yield from extend(chosen + ((i, j),), k + 1, used | {i, j}, size)
 
-    for size in range(len(edges) // 2 + 1):
+    for size in range(smallest, len(edges) // 2 + 1):
         yield from extend((), 0, frozenset(), size)
 
 
@@ -115,6 +165,21 @@ def _dummy_candidates(c: tuple[Edge, Edge]) -> list[tuple[int, int, int, int]]:
 # Drawability
 # ---------------------------------------------------------------------------
 
+# The apex node; planarization nodes are numbered from 0.
+_APEX = -1
+
+
+def _apex_planar(g: BipartiteGraph, crossings, adj: dict[int, set[int]]) -> bool:
+    """Whether the planarization ``adj`` of ``g`` with ``crossings``, plus an
+    apex joined to every X vertex, is planar (step 1 of the module doc)."""
+    if len(g.edges) + len(crossings) - g.y_count <= 3:
+        return True
+    apexed = dict(adj)
+    for v in g.x_vertices:
+        apexed[v] = adj[v] | {_APEX}
+    apexed[_APEX] = set(g.x_vertices)
+    return is_planar(apexed)
+
 
 def _decide_drawable(
     g: BipartiteGraph, limits: SearchLimits, deadline: float
@@ -122,12 +187,16 @@ def _decide_drawable(
     """The first verified witness in enumeration order, or None when the
     exhausted search has none; BudgetExceeded when the deadline passes."""
     edges = g.edges
+    # The counting bound of the module doc: smaller sets hold no witness.
+    smallest = max(0, len(edges) - g.x_count - 2 * g.y_count + 2)
 
-    for matching in _matchings(edges):
+    for matching in _matchings(edges, smallest):
         if time.monotonic() > deadline:
             raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
         crossings = _normalize_crossings(g, [(edges[i], edges[j]) for i, j in matching])
         adj = _planarization_adjacency(g, crossings)
+        if not _apex_planar(g, crossings, adj):
+            continue
         candidates = [_rotation_candidates(tuple(sorted(adj[v]))) for v in range(g.vertex_count)]
         candidates += [_dummy_candidates(c) for c in crossings]
         succ_options = []

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import onedisk as od
 from onedisk import drawing as drawing_mod
+from onedisk import search
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,6 +16,39 @@ def k33() -> od.BipartiteGraph:
 
 def k22() -> od.BipartiteGraph:
     return od.new_bipartite(2, 2, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def connected_classes(x: int, y: int):
+    """One connected graph with parts (x, y) per part-preserving
+    isomorphism class, in the search's canonical labelling."""
+    full = [(i, x + j) for i in range(x) for j in range(y)]
+    seen = set()
+    for mask in range(1, 1 << len(full)):
+        edges = tuple(e for k, e in enumerate(full) if mask >> k & 1)
+        canon = search._canonical_edges(x, y, edges, od.SearchLimits(), math.inf)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        g = od.new_bipartite(x, y, canon)
+        if search._is_connected(g):
+            yield g
+
+
+# Part sizes (x, y) with x <= y <= 3.
+SIZES_UP_TO_3_3 = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
+def apex_planarization(g: od.BipartiteGraph, matching) -> dict[int, set[int]]:
+    """The planarization of ``g`` with the crossing set ``matching`` (index
+    pairs into ``g.edges``), plus one more node joined to every X vertex."""
+    crossings = drawing_mod._normalize_crossings(
+        g, [(g.edges[i], g.edges[j]) for i, j in matching])
+    adj = drawing_mod._planarization_adjacency(g, crossings)
+    apex = len(adj)
+    adj[apex] = set(g.x_vertices)
+    for v in g.x_vertices:
+        adj[v].add(apex)
+    return adj
 
 
 def planar_k22_drawing() -> od.Drawing:

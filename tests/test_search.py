@@ -12,7 +12,7 @@ import pytest
 import onedisk as od
 from onedisk import search
 
-from conftest import k22, k33
+from conftest import SIZES_UP_TO_3_3, apex_planarization, connected_classes, k22, k33
 
 # sha256 of the documents save_drawing writes for the witnesses listed in
 # test_search_witnesses_are_byte_identical, in that order.
@@ -76,12 +76,73 @@ def test_max_edges_2_3():
     assert od.edge_count(out.witness.graph) == 6
 
 
-@pytest.mark.slow
 def test_max_edges_3_3():
     out = od.max_edges_one_disk(3, 3)
     assert out.max_edges == 9 == od.one_disk_max_edges(3, 3)
     assert out.exhausted
     assert od.find_one_disk_face(out.witness) is not None
+
+
+@pytest.mark.parametrize("y, edges", [(4, 11), (5, 13)])
+def test_max_edges_3_4_and_3_5(y, edges):
+    out = od.max_edges_one_disk(3, y)
+    assert out.max_edges == edges == od.one_disk_max_edges(3, y)
+    assert od.edge_count(out.witness.graph) == edges
+    assert od.find_one_disk_face(out.witness) is not None
+
+
+def _k34() -> od.BipartiteGraph:
+    return od.new_bipartite(3, 4, [(i, 3 + j) for i in range(3) for j in range(4)])
+
+
+def test_k34_has_no_disk_drawing():
+    # 3x + 2y - 6 = 11 < 12 edges: the search must exhaust every crossing set.
+    assert od.is_one_disk_drawable(_k34()) is None
+
+
+@pytest.mark.slow
+def test_networkx_rejects_every_apex_planarization_of_k34():
+    # The "no" above rests on the in-repo planarity test; networkx's own
+    # test must reject every crossing set too, those below the counting
+    # bound included.
+    nx = pytest.importorskip("networkx")
+    g = _k34()
+    count = 0
+    for matching in search._matchings(g.edges):
+        adj = apex_planarization(g, matching)
+        planar, _ = nx.check_planarity(nx.Graph([(v, u) for v in adj for u in adj[v]]))
+        assert not planar, matching
+        count += 1
+    assert count == 11896
+
+
+def _passing(g: od.BipartiteGraph):
+    """The crossing sets of ``g`` that pass the search's planarity filter,
+    in enumeration order."""
+    for matching in search._matchings(g.edges):
+        crossings = search._normalize_crossings(
+            g, [(g.edges[i], g.edges[j]) for i, j in matching])
+        if search._apex_planar(g, crossings, search._planarization_adjacency(g, crossings)):
+            yield crossings
+
+
+def test_first_set_passing_the_filter_carries_the_witness():
+    # The least passing crossing set yields a witness (module docstring of
+    # onedisk.search), so the rotation product runs on no other set.
+    for x, y in SIZES_UP_TO_3_3:
+        for g in connected_classes(x, y):
+            witness = od.is_one_disk_drawable(g)
+            assert witness is not None
+            assert next(_passing(g)) == witness.crossings, g.edges
+
+
+def test_counting_bound_skips_no_planar_set():
+    # No crossing set below max(0, m - x - 2y + 2) has a planar apex
+    # planarization, so starting the enumeration there loses nothing.
+    for x, y in SIZES_UP_TO_3_3:
+        for g in connected_classes(x, y):
+            smallest = max(0, len(g.edges) - x - 2 * y + 2)
+            assert min(len(c) for c in _passing(g)) >= smallest, g.edges
 
 
 def test_max_edges_never_below_construction():
