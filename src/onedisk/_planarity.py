@@ -1,22 +1,35 @@
-"""Planarity of small simple graphs, for the search's crossing-set filter.
+"""Plane embeddings of small simple graphs, for the search's witnesses.
 
 A graph is an adjacency map: every integer node mapped to the set of its
-neighbours, symmetric and without loops.  ``is_planar`` decides it in
-three steps, each of which keeps planarity:
+neighbours, symmetric and without loops.  ``plane_rotation`` returns a
+rotation system of a plane embedding -- each node mapped to its
+neighbours in cyclic order, in the convention of
+:func:`onedisk.drawing.rotation_faces` -- or None when the graph is
+non-planar.  It works in four steps, each of which keeps planarity:
 
 1. Nodes of degree at most one are peeled off, and each node of degree
    two is suppressed: its two edges become one edge between its
-   neighbours, and a parallel edge this makes is dropped.  Drawing a
-   peeled node, a subdivision node or a parallel edge into a planar
-   drawing keeps it planar, so the reduced graph is planar exactly when
-   the input is.
+   neighbours, and a parallel edge this makes is dropped.  Each removal
+   goes on an undo log with its neighbours and whether they were already
+   adjacent.  Drawing a peeled node, a subdivision node or a parallel
+   edge into a plane drawing keeps it plane, so the reduced graph is
+   planar exactly when the input is.
 2. A simple planar graph on V >= 3 nodes has at most 3V - 6 edges, so a
    reduced graph with more is rejected at once.
 3. A graph is planar exactly when each of its biconnected blocks is.  A
-   block on at most four nodes is a subgraph of K4, which is planar;
-   every larger block is embedded by the path-addition algorithm of
-   Demoucron, Malgrange and Pertuiset (1964), which fails exactly on
-   non-planar blocks.
+   block of two nodes is one edge.  Every other block is embedded by the
+   path-addition algorithm of Demoucron, Malgrange and Pertuiset (1964),
+   which fails exactly on non-planar blocks and otherwise yields the
+   faces as node cycles, all traversed the same way round.  The block's
+   rotation is read off them: w follows u at v when a face walks u, v, w.
+   A node's orders in its blocks are concatenated, which places each
+   block inside one corner of those before it: the two faces that meet
+   there merge, and Euler's formula still holds.
+4. The undo log is replayed backwards.  A peeled node is appended to its
+   neighbour's order.  A suppressed node v with neighbours a and b takes
+   b's place at a and a's place at b, subdividing the edge ab; when a
+   and b were already adjacent, v goes in beside that edge instead --
+   after b at a and before a at b -- which splits off a triangular face.
 
 The search hands in graphs of a few dozen nodes, on which this quadratic
 method takes well under a millisecond; a linear-time test would be far
@@ -30,27 +43,63 @@ from typing import AbstractSet, Mapping
 Adjacency = Mapping[int, AbstractSet[int]]
 
 
-def is_planar(adj: Adjacency) -> bool:
-    """True when the simple graph ``adj`` has a plane embedding; ``adj``
-    is not modified."""
-    g = _reduced(adj)
+def plane_rotation(adj: Adjacency) -> dict[int, list[int]] | None:
+    """A rotation system of a plane embedding of the simple graph ``adj``,
+    or None when it is non-planar; ``adj`` is not modified."""
+    g, undo = _reduced(adj)
     nodes = len(g)
     edges = sum(len(nbrs) for nbrs in g.values()) // 2
     if nodes >= 3 and edges > 3 * nodes - 6:
-        return False
+        return None
+    rotation: dict[int, list[int]] = {v: [] for v in g}
     for block in _blocks(g):
-        if len(block) < 5:
+        if len(block) == 2:
+            a, b = block
+            rotation[a].append(b)
+            rotation[b].append(a)
             continue
         members = set(block)
-        if not _embeds({v: g[v] & members for v in block}):
-            return False
-    return True
+        faces = _embeds({v: g[v] & members for v in block})
+        if faces is None:
+            return None
+        # w follows u at v when a face walks u, v, w; appending the block's
+        # order after a node's earlier blocks splices it into one corner.
+        follows: dict[int, dict[int, int]] = {v: {} for v in block}
+        for face in faces:
+            for u, v, w in zip(face[-1:] + face[:-1], face, face[1:] + face[:1]):
+                follows[v][u] = w
+        for v, succ in follows.items():
+            order = rotation[v]
+            first = u = next(iter(succ))
+            while True:
+                order.append(u)
+                u = succ[u]
+                if u == first:
+                    break
+    # Undo the reduction, last removal first (module docstring, step 4).
+    for v, nbrs, adjacent in reversed(undo):
+        rotation[v] = list(nbrs)
+        if len(nbrs) == 1:
+            rotation[nbrs[0]].append(v)
+        elif len(nbrs) == 2:
+            a, b = nbrs
+            at_a, at_b = rotation[a], rotation[b]
+            if adjacent:
+                at_a.insert(at_a.index(b) + 1, v)
+                at_b.insert(at_b.index(a), v)
+            else:
+                at_a[at_a.index(b)] = v
+                at_b[at_b.index(a)] = v
+    return rotation
 
 
-def _reduced(adj: Adjacency) -> dict:
+def _reduced(adj: Adjacency) -> tuple[dict, list]:
     """A copy of ``adj`` with every node of degree <= 2 peeled or suppressed,
-    repeatedly, so every node left has degree >= 3."""
+    repeatedly, so every node left has degree >= 3, and the undo log: one
+    (node, neighbours, whether two neighbours were already adjacent) per
+    removal, in order."""
     g = {v: set(nbrs) for v, nbrs in adj.items()}
+    undo = []
     stack = [v for v, nbrs in g.items() if len(nbrs) <= 2]
     while stack:
         v = stack.pop()
@@ -60,12 +109,15 @@ def _reduced(adj: Adjacency) -> dict:
         del g[v]
         for u in nbrs:
             g[u].discard(v)
+        adjacent = False
         if len(nbrs) == 2:
             a, b = nbrs
+            adjacent = b in g[a]
             g[a].add(b)
             g[b].add(a)
+        undo.append((v, tuple(nbrs), adjacent))
         stack.extend(nbrs)
-    return g
+    return g, undo
 
 
 def _blocks(g: dict) -> list[list]:
@@ -162,12 +214,15 @@ def _fragments(g: dict, placed: set, placed_edges: set) -> list[tuple[set, list]
     return out
 
 
-def _embeds(g: dict) -> bool:
+def _embeds(g: dict) -> list[list] | None:
     """Demoucron, Malgrange and Pertuiset's path addition on the biconnected
-    graph ``g`` (at least three nodes): True when it embeds in the plane.
+    graph ``g`` (at least three nodes): the faces of a plane embedding, or
+    None when there is none.
 
     Faces are node lists, simple cycles because every partial embedding of
-    a biconnected graph is biconnected.  Each round places one path of a
+    a biconnected graph is biconnected, each traversed the same way round:
+    a split face keeps its own direction and the new path is walked once
+    each way.  Each round places one path of a
     fragment in a face that holds all the fragment's attachments, taking a
     fragment with a single such face when there is one; a fragment with no
     such face proves the graph non-planar.
@@ -183,12 +238,12 @@ def _embeds(g: dict) -> bool:
     while True:
         fragments = _fragments(g, placed, placed_edges)
         if not fragments:
-            return True
+            return faces
         chosen = None
         for attachments, path in fragments:
             homes = [k for k, fs in enumerate(face_sets) if attachments <= fs]
             if not homes:
-                return False
+                return None
             if chosen is None or len(homes) < len(chosen[1]):
                 chosen = (path, homes)
                 if len(homes) == 1:

@@ -119,34 +119,6 @@ class FaceWalk:
         return all(v in here for v in nodes)
 
 
-def _successors(nbrs: Sequence[int]) -> dict[int, int]:
-    """Map each neighbor to the one after it in the cyclic order ``nbrs``.
-    The keys keep the order of ``nbrs``."""
-    return {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
-
-
-def _walk_faces(succ, sides: Iterable[Step]) -> list[tuple[Step, ...]]:
-    """The successor walk: each face, in the order ``sides`` first meets it.
-
-    ``succ[v][u]`` is the neighbor after u in the cyclic order at v, and
-    ``sides`` lists every directed segment side; nothing is checked.  Walks
-    are tuples: lists held to the end of a long trace slow every gc pass.
-    """
-    faces: list[tuple[Step, ...]] = []
-    visited: set[Step] = set()
-    for step in sides:
-        if step in visited:
-            continue
-        walk: list[Step] = []
-        while step not in visited:
-            visited.add(step)
-            walk.append(step)
-            a, b = step
-            step = (b, succ[b][a])
-        faces.append(tuple(walk))
-    return faces
-
-
 def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
@@ -154,17 +126,33 @@ def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     with no repeated neighbors; raises IncompleteRotation otherwise.
     Every directed segment side lands in exactly one returned walk.
     """
+    # succ[v][u] is the neighbor after u in the cyclic order at v.
     succ: dict[int, dict[int, int]] = {}
     for v, nbrs in rotation.items():
         if len(set(nbrs)) != len(nbrs):
             raise IncompleteRotation(f"rotation at {v} repeats a neighbor")
-        succ[v] = _successors(nbrs)
+        succ[v] = {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
     for v, nbrs in rotation.items():
         for u in nbrs:
             if u not in succ or v not in succ[u]:
                 raise IncompleteRotation(f"segment ({v}, {u}) has no reverse side")
-    sides = [(v, u) for v in sorted(rotation) for u in rotation[v]]
-    return [FaceWalk(walk) for walk in _walk_faces(succ, sides)]
+    # Walks are tuples: lists held to the end of a long trace slow every
+    # gc pass.
+    faces: list[FaceWalk] = []
+    visited: set[Step] = set()
+    for v in sorted(rotation):
+        for u in rotation[v]:
+            step = (v, u)
+            if step in visited:
+                continue
+            walk: list[Step] = []
+            while step not in visited:
+                visited.add(step)
+                walk.append(step)
+                a, b = step
+                step = (b, succ[b][a])
+            faces.append(FaceWalk(tuple(walk)))
+    return faces
 
 
 # ---------------------------------------------------------------------------

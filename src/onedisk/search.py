@@ -6,30 +6,24 @@ vertex -- and computes the exact maximum edge count for small part
 sizes.  The search is independent of the constructions.  The crossings
 of a drawing form a matching of pairwise independent edge pairs, a
 crossing set; the search takes crossing sets by size, then
-lexicographically, and for each one
-
-1. skips it when its apex planarization is non-planar, and otherwise
-2. tries every rotation system of its planarization (each cyclic order
-   at an original vertex, the two alternating orders at a dummy) and
-   accepts the first whose faces satisfy Euler's formula and include
-   one that touches every X vertex.
-
-The planarization, face walk and disk-face rule come from
-:mod:`onedisk.drawing`, the planarity test from :mod:`onedisk._planarity`,
-and the witness is re-verified by ``build_drawing`` (structure,
-alternation at every dummy, Euler's formula) before being returned.
+lexicographically, and returns the first whose apex planarization has a
+plane embedding.  That embedding, with the apex removed, is the witness.
 
 The apex planarization of (G, C) is the planarization of G with crossing
 set C plus one apex node joined to every X vertex.  Write m = |E(G)|,
-c = |C|, x = |X| and y = |Y|.
+c = |C|, x = |X| and y = |Y|.  The planarization comes from
+:mod:`onedisk.drawing`, the embedding from
+:func:`onedisk._planarity.plane_rotation`, and the witness is
+re-verified by ``build_drawing`` (structure, alternation at every dummy,
+Euler's formula) and must have a face that touches every X vertex,
+found by the rule ``find_one_disk_face`` uses; a witness that fails
+either check is a fault of this module and raises.
 
-*Skipping is sound.*  A 1-disk drawing with crossing set C is a plane
-drawing of its planarization with every X vertex on one face; an apex
-placed in that face and joined to each X vertex adds no crossing.  So
-when the apex planarization is non-planar no drawing has crossing set C,
-and a skipped set never held a witness.  Step 2 still runs, in the same
-order, on every set that is not skipped, so the first witness is the one
-the search without step 1 returns.
+*A non-planar set holds no witness.*  A 1-disk drawing with crossing
+set C is a plane drawing of its planarization with every X vertex on
+one face; an apex placed in that face and joined to each X vertex adds
+no crossing.  So when the apex planarization is non-planar no drawing
+has crossing set C.
 
 *Counting bound.*  If the apex planarization of (G, C) is planar, then
 c >= m - x - 2y + 2.  In a plane embedding of it, delete at each dummy
@@ -40,25 +34,18 @@ is joined to X only, on x + y + 1 >= 3 nodes with m - c + x edges.  So
 m - c + x <= 2(x + y + 1) - 4.  Sets below this size are never listed;
 by the first fact they hold no witness.
 
-*Passing implies a witness.*  Let k be the least size of a crossing set
-whose apex planarization is planar, and C such a set.  In a plane
-embedding of its apex planarization, a dummy whose rotation does not
-alternate is a point where its two edges touch without crossing;
-redrawing them apart, each through the angle between its own two
-segments, embeds the apex planarization of C minus that crossing, a
+*The first planar set yields a witness.*  Let k be the least size of a
+crossing set whose apex planarization is planar, and C such a set.  In
+any plane embedding of its apex planarization, a dummy whose rotation
+does not alternate is a point where its two edges touch without
+crossing; redrawing them apart, each through the angle between its own
+two segments, embeds the apex planarization of C minus that crossing, a
 planar set of size k - 1, against the choice of k.  So every dummy
 alternates.  Deleting the apex merges the faces around it into one face
 that touches every X vertex, so the embedding restricted to the
-planarization is one of the rotation systems step 2 tries, and it
-passes.  Sizes ascend, so the first set that passes step 1 has size k:
-step 2 runs on that set alone and finds its witness there, and a "no"
-answer costs one planarity test per crossing set.
-
-*Free cases.*  The apex planarization of a connected G is connected,
-with cycle rank (m + 2c + x) - (x + y + c + 1) + 1 = m + c - y.  A
-non-planar graph contains a subdivision of K5 or K3,3 (Kuratowski),
-whose cycle ranks are 6 and 4, and no subgraph has a larger cycle rank
-than its graph, so a set with m + c - y <= 3 passes step 1 untested.
+planarization is a 1-disk drawing with crossing set C.  Sizes ascend,
+so the first set found planar has size k, and a "no" answer costs one
+planarity test per crossing set.
 
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
@@ -70,19 +57,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
-from ._planarity import is_planar
+from ._planarity import plane_rotation
 from .bounds import one_disk_max_edges
 from .drawing import (
     Drawing,
-    FaceWalk,
     _normalize_crossings,
     _planarization_adjacency,
-    _successors,
-    _walk_faces,
     build_drawing,
     disk_face_index,
+    trace_faces,
 )
 from .graph import BipartiteGraph, Edge, new_bipartite, reachable
 
@@ -111,7 +96,7 @@ class SearchOutcome:
     exhausted: bool
 
 
-# The inner loops read the clock once every _TICK iterations.
+# _canonical_edges reads the clock once every _TICK relabelings.
 _TICK = 4096
 
 
@@ -149,18 +134,6 @@ def _is_connected(g: BipartiteGraph) -> bool:
     return len(reachable(_planarization_adjacency(g, ()), 0)) == g.vertex_count
 
 
-def _rotation_candidates(nbrs: tuple[int, ...]):
-    """All distinct cyclic orders of the (nonempty) neighbor set, lexicographically."""
-    first, rest = nbrs[0], nbrs[1:]
-    for perm in permutations(rest):
-        yield (first,) + perm
-
-
-def _dummy_candidates(c: tuple[Edge, Edge]) -> list[tuple[int, int, int, int]]:
-    (a1, a2), (b1, b2) = c
-    return [(a1, b1, a2, b2), (a1, b2, a2, b1)]
-
-
 # ---------------------------------------------------------------------------
 # Drawability
 # ---------------------------------------------------------------------------
@@ -169,23 +142,11 @@ def _dummy_candidates(c: tuple[Edge, Edge]) -> list[tuple[int, int, int, int]]:
 _APEX = -1
 
 
-def _apex_planar(g: BipartiteGraph, crossings, adj: dict[int, set[int]]) -> bool:
-    """Whether the planarization ``adj`` of ``g`` with ``crossings``, plus an
-    apex joined to every X vertex, is planar (step 1 of the module doc)."""
-    if len(g.edges) + len(crossings) - g.y_count <= 3:
-        return True
-    apexed = dict(adj)
-    for v in g.x_vertices:
-        apexed[v] = adj[v] | {_APEX}
-    apexed[_APEX] = set(g.x_vertices)
-    return is_planar(apexed)
-
-
 def _decide_drawable(
     g: BipartiteGraph, limits: SearchLimits, deadline: float
 ) -> Drawing | None:
-    """The first verified witness in enumeration order, or None when the
-    exhausted search has none; BudgetExceeded when the deadline passes."""
+    """The witness of the first crossing set whose apex planarization is
+    planar, or None when no set is; BudgetExceeded when the deadline passes."""
     edges = g.edges
     # The counting bound of the module doc: smaller sets hold no witness.
     smallest = max(0, len(edges) - g.x_count - 2 * g.y_count + 2)
@@ -195,31 +156,19 @@ def _decide_drawable(
             raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
         crossings = _normalize_crossings(g, [(edges[i], edges[j]) for i, j in matching])
         adj = _planarization_adjacency(g, crossings)
-        if not _apex_planar(g, crossings, adj):
+        for v in g.x_vertices:
+            adj[v].add(_APEX)
+        adj[_APEX] = set(g.x_vertices)
+        rotation = plane_rotation(adj)
+        if rotation is None:
             continue
-        candidates = [_rotation_candidates(tuple(sorted(adj[v]))) for v in range(g.vertex_count)]
-        candidates += [_dummy_candidates(c) for c in crossings]
-        succ_options = []
-        built = 0
-        for cand in candidates:
-            succ_options.append([])
-            for rot in cand:
-                built += 1
-                if built % _TICK == 0 and time.monotonic() > deadline:
-                    raise _out_of_time(limits, "listing rotations")
-                succ_options[-1].append(_successors(rot))
-        sides = [(v, u) for v, nbrs in adj.items() for u in nbrs]
-        target_faces = 2 - len(adj) + len(sides) // 2
-
-        for tick, succ in enumerate(product(*succ_options), 1):
-            if tick % _TICK == 0 and time.monotonic() > deadline:
-                raise _out_of_time(limits, "mid-enumeration")
-            faces = _walk_faces(succ, sides)
-            if len(faces) != target_faces:
-                continue
-            if disk_face_index([FaceWalk(w) for w in faces], g.x_count) is None:
-                continue
-            return build_drawing(g, crossings, {v: tuple(succ[v]) for v in adj})
+        del rotation[_APEX]
+        for v in g.x_vertices:
+            rotation[v].remove(_APEX)
+        witness = build_drawing(g, crossings, rotation)
+        if disk_face_index(trace_faces(witness), g.x_count) is None:
+            raise RuntimeError(f"the embedding of crossing set {matching} has no disk face")
+        return witness
     return None
 
 
@@ -228,9 +177,10 @@ def is_one_disk_drawable(
 ) -> Drawing | None:
     """Search for any 1-planar drawing of ``g`` with a face touching all X.
 
-    Returns the first witness in the deterministic enumeration order
-    (fewest crossings first, then lexicographic crossing sets and
-    rotations), or None once the exhaustive search proves none exists.
+    Returns a witness with the first crossing set in the deterministic
+    enumeration order (fewest crossings first, then lexicographically)
+    that admits one, drawn as the planarity test embeds it, or None once
+    the exhaustive search proves none exists.
     The time budget is the only limit: BudgetExceeded is raised when it
     runs out before the search is exhausted.
     """

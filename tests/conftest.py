@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations, product
 from pathlib import Path
 
 import onedisk as od
@@ -49,6 +50,51 @@ def apex_planarization(g: od.BipartiteGraph, matching) -> dict[int, set[int]]:
     for v in g.x_vertices:
         adj[v].add(apex)
     return adj
+
+
+def reference_witness(g: od.BipartiteGraph, crossings) -> od.Drawing | None:
+    """A 1-disk drawing of ``g`` with the normalized ``crossings``, found by
+    trying every rotation system of the planarization, or None when none
+    is one.
+
+    The reference the search is checked against.  It knows nothing of
+    planarity tests: it tries each cyclic order at an original vertex and
+    the two alternating orders at each dummy, and accepts the first system
+    whose face count meets Euler's formula and which has a face touching
+    every X vertex.  Node 0 takes only the orders that read no later than
+    their reverse, since the mirror image of a 1-disk drawing is one.
+    """
+    adj = drawing_mod._planarization_adjacency(g, crossings)
+    orders = []
+    for v in range(g.vertex_count):
+        first, *rest = sorted(adj[v])
+        orders.append([(first, *p) for p in permutations(rest) if v or p <= p[::-1]])
+    for (a1, a2), (b1, b2) in crossings:
+        orders.append([(a1, b1, a2, b2), (a1, b2, a2, b1)])
+    # Each order with its successor map: w follows u at v when succ[u] == w.
+    options = [[(o, {u: o[(i + 1) % len(o)] for i, u in enumerate(o)}) for o in per]
+               for per in orders]
+    sides = [(v, u) for v in adj for u in adj[v]]
+    faces_needed = 2 - len(adj) + len(sides) // 2
+    xs = set(g.x_vertices)
+    for choice in product(*options):
+        seen: set = set()
+        faces = 0
+        disk = False
+        for side in sides:
+            if side in seen:
+                continue
+            faces += 1
+            on_face = set()
+            while side not in seen:
+                seen.add(side)
+                u, v = side
+                on_face.add(u)
+                side = (v, choice[v][1][u])
+            disk = disk or xs <= on_face
+        if faces == faces_needed and disk:
+            return od.build_drawing(g, crossings, {v: o for v, (o, _) in enumerate(choice)})
+    return None
 
 
 def planar_k22_drawing() -> od.Drawing:

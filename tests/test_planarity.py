@@ -1,4 +1,5 @@
-"""The search's planarity test against networkx's, which onedisk never imports."""
+"""The search's planarity routine against networkx's planarity test, which
+onedisk never imports, with every plane embedding it returns certified."""
 
 from __future__ import annotations
 
@@ -9,19 +10,40 @@ import sys
 import pytest
 
 from onedisk import search
-from onedisk._planarity import is_planar
+from onedisk._planarity import plane_rotation
+from onedisk.drawing import rotation_faces
+from onedisk.graph import reachable
 
 from conftest import SIZES_UP_TO_3_3, apex_planarization, connected_classes
 
 nx = pytest.importorskip("networkx")
 
 
-def _agrees(adj: dict[int, set[int]]) -> bool:
+def _certified(adj: dict[int, set[int]]) -> bool:
+    """Whether ``adj`` is planar, by ``plane_rotation``, after checking that
+    it agrees with networkx and, on a connected graph with an edge, that
+    the rotation lists each node's neighbours and meets Euler's formula."""
     g = nx.Graph()
     g.add_nodes_from(adj)
     g.add_edges_from((v, u) for v, nbrs in adj.items() for u in nbrs)
     planar, _ = nx.check_planarity(g)
-    return is_planar(adj) == planar
+    rotation = plane_rotation(adj)
+    assert (rotation is not None) == planar
+    if rotation is not None:
+        _assert_plane(adj, rotation)
+    return planar
+
+
+def _assert_plane(adj: dict[int, set[int]], rotation: dict[int, list[int]]) -> None:
+    """Assert that ``rotation`` is a plane embedding of the connected graph
+    ``adj``; graphs that are disconnected or have no edge pass unchecked."""
+    edges = sum(len(nbrs) for nbrs in adj.values()) // 2
+    if not edges or len(reachable(adj, next(iter(adj)))) != len(adj):
+        return
+    assert rotation.keys() == adj.keys()
+    for v, nbrs in adj.items():
+        assert len(rotation[v]) == len(nbrs) and set(rotation[v]) == nbrs, v
+    assert len(adj) - edges + len(rotation_faces(rotation)) == 2
 
 
 def _adjacency(g) -> dict[int, set[int]]:
@@ -32,7 +54,7 @@ def test_agrees_on_the_graph_atlas():
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
     for g in atlas:
-        assert _agrees(_adjacency(g)), sorted(g.edges)
+        _certified(_adjacency(g))
 
 
 def test_agrees_on_random_graphs():
@@ -42,9 +64,7 @@ def test_agrees_on_random_graphs():
         n = rng.randint(8, 14)
         # Edge probabilities around the planarity threshold of these sizes.
         g = nx.gnp_random_graph(n, rng.uniform(0.15, 0.55), seed=rng.randrange(1 << 30))
-        adj = _adjacency(g)
-        assert _agrees(adj), sorted(g.edges)
-        planar += is_planar(adj)
+        planar += _certified(_adjacency(g))
     # Both answers occur often, so neither is right by default.
     assert 600 < planar < 2400
 
@@ -54,17 +74,40 @@ def test_agrees_on_apex_planarizations():
     for x, y in SIZES_UP_TO_3_3:
         for g in connected_classes(x, y):
             for matching in search._matchings(g.edges):
-                adj = apex_planarization(g, matching)
-                assert _agrees(adj), (g.edges, matching)
+                non_planar += not _certified(apex_planarization(g, matching))
                 count += 1
-                non_planar += not is_planar(adj)
     assert (count, non_planar) == (847, 607)
+
+
+def test_suppressed_node_beside_an_edge_is_undone():
+    # Node 4 has degree 2 and its neighbours 0 and 1 are adjacent, so the
+    # reduction drops the parallel edge it makes and the undo puts node 4
+    # back beside the edge 01.
+    adj = {v: {u for u in range(4) if u != v} for v in range(4)}
+    adj[4] = {0, 1}
+    adj[0].add(4)
+    adj[1].add(4)
+    rotation = plane_rotation(adj)
+    assert rotation is not None
+    _assert_plane(adj, rotation)
+
+
+def test_blocks_sharing_a_node_are_spliced():
+    # Two K4 blocks on nodes 0-3 and 0, 4-6: node 0's orders in both are
+    # joined into one rotation.
+    adj: dict[int, set[int]] = {v: set() for v in range(7)}
+    for block in ((0, 1, 2, 3), (0, 4, 5, 6)):
+        for v in block:
+            adj[v] |= set(block) - {v}
+    rotation = plane_rotation(adj)
+    assert rotation is not None
+    _assert_plane(adj, rotation)
 
 
 def test_does_not_mutate_its_input():
     adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1, 3}, 3: {2}}
     copy = {v: set(nbrs) for v, nbrs in adj.items()}
-    assert is_planar(adj)
+    assert plane_rotation(adj) is not None
     assert adj == copy
 
 
