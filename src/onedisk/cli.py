@@ -254,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="print edge ceilings or a bounds report")
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
+    p.add_argument("--x", type=_positive_int, default=None)
+    p.add_argument("--y", type=_positive_int, default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--drawing", default=None)
     p.add_argument("--json", action="store_true")

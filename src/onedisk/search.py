@@ -83,7 +83,7 @@ class SearchLimits:
     time_budget: float = 300.0
 
     def __post_init__(self) -> None:
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:
             raise ValueError("the time budget must be positive")
 
 
@@ -94,10 +94,6 @@ class SearchOutcome:
     max_edges: int
     witness: Drawing | None
     exhausted: bool
-
-
-# _canonical_edges reads the clock once every _TICK relabelings.
-_TICK = 4096
 
 
 def _out_of_time(limits: SearchLimits, doing: str) -> BudgetExceeded:
@@ -198,21 +194,46 @@ def is_one_disk_drawable(
 def _canonical_edges(
     x: int, y: int, chosen: tuple[Edge, ...], limits: SearchLimits, deadline: float
 ) -> tuple[Edge, ...]:
-    """Least adjacency matrix over part-preserving relabelings."""
-    matrix = [[0] * y for _ in range(x)]
+    """Least adjacency matrix, compared row by row, over part-preserving
+    relabelings.
+
+    Only the x! orders of the X rows are tried; for each, the Y columns are
+    sorted as column vectors.  For a fixed row order that gives the least
+    matrix over all y! column orders: the least row 0 puts row 0's zeros
+    first, and once rows 0..i-1 are least, the column orders that keep them
+    so permute only columns that tie on rows 0..i-1, among which the least
+    row i puts those columns in ascending order of their entry in row i.
+    Induction on i makes the columns ascend as vectors, row 0 first.  The
+    least over all relabelings is the least of these x! matrices.  The
+    clock is read once per row order.
+    """
+    columns = [[0] * x for _ in range(y)]
     for u, v in chosen:
-        matrix[u][v - x] = 1
-    best: tuple[tuple[int, ...], ...] | None = None
-    tick = 0
+        columns[v - x][u] = 1
+    best = None
     for rows in permutations(range(x)):
-        for cols in permutations(range(y)):
-            tick += 1
-            if tick % _TICK == 0 and time.monotonic() > deadline:
-                raise _out_of_time(limits, f"relabeling a {len(chosen)}-edge candidate")
-            candidate = tuple(tuple(matrix[r][c] for c in cols) for r in rows)
-            if best is None or candidate < best:
-                best = candidate
+        if time.monotonic() > deadline:
+            raise _out_of_time(limits, f"relabeling a {len(chosen)}-edge candidate")
+        candidate = tuple(zip(*sorted(tuple(col[r] for r in rows) for col in columns)))
+        if best is None or candidate < best:
+            best = candidate
     return tuple((i, x + j) for i in range(x) for j in range(y) if best[i][j])
+
+
+def _classes(x: int, y: int, m: int, limits: SearchLimits, deadline: float):
+    """One connected graph with parts (x, y) and m edges per part-preserving
+    isomorphism class, in its canonical labelling, in the order in which the
+    lexicographic m-edge combinations first reach the class."""
+    all_pairs = [(i, x + j) for i in range(x) for j in range(y)]
+    seen: set[tuple[Edge, ...]] = set()
+    for combo in combinations(all_pairs, m):
+        canon = _canonical_edges(x, y, combo, limits, deadline)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        g = new_bipartite(x, y, canon)
+        if _is_connected(g):
+            yield g
 
 
 def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> SearchOutcome:
@@ -231,21 +252,10 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
         raise ValueError("part sizes must be positive")
     # Never above x*y: x*y - (3x + 2y - 6) = (x - 2)(y - 3) >= 0 for 2 <= x <= y.
     ceiling = one_disk_max_edges(x, y) if 2 <= x <= y else x * y
-    all_pairs = [(i, x + j) for i in range(x) for j in range(y)]
     deadline = time.monotonic() + limits.time_budget
 
     for m in range(ceiling, 0, -1):
-        seen: set[tuple[Edge, ...]] = set()
-        for combo in combinations(all_pairs, m):
-            if time.monotonic() > deadline:
-                raise _out_of_time(limits, f"at {m} edges")
-            canon = _canonical_edges(x, y, combo, limits, deadline)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            g = new_bipartite(x, y, canon)
-            if not _is_connected(g):
-                continue
+        for g in _classes(x, y, m, limits, deadline):
             witness = _decide_drawable(g, limits, deadline)
             if witness is not None:
                 return SearchOutcome(m, witness, exhausted=True)

@@ -21,18 +21,9 @@ def k22() -> od.BipartiteGraph:
 
 def connected_classes(x: int, y: int):
     """One connected graph with parts (x, y) per part-preserving
-    isomorphism class, in the search's canonical labelling."""
-    full = [(i, x + j) for i in range(x) for j in range(y)]
-    seen = set()
-    for mask in range(1, 1 << len(full)):
-        edges = tuple(e for k, e in enumerate(full) if mask >> k & 1)
-        canon = search._canonical_edges(x, y, edges, od.SearchLimits(), math.inf)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        g = od.new_bipartite(x, y, canon)
-        if search._is_connected(g):
-            yield g
+    isomorphism class, in the search's canonical labelling, by edge count."""
+    for m in range(1, x * y + 1):
+        yield from search._classes(x, y, m, od.SearchLimits(), math.inf)
 
 
 # Part sizes (x, y) with x <= y <= 3.

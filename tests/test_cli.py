@@ -272,3 +272,11 @@ def test_search_rejects_nonpositive_arguments(capsys):
     assert main(["search", "--x", "2", "--y", "2", "--budget", "-5"]) == 2
     assert main(["search", "--x", "2", "--y", "2", "--budget", "nan"]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_bounds_rejects_nonpositive_sizes(capsys):
+    assert main(["bounds", "--x", "-5", "--y", "3"]) == 2
+    assert main(["bounds", "--x", "0", "--y", "0"]) == 2
+    assert main(["bounds", "--x", "3", "--y", "0", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least 1" in captured.err

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -39,6 +40,9 @@ def _connected_graphs(x: int, y: int):
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         od.SearchLimits(time_budget=0)
+    # NaN compares false with everything, and a NaN deadline never passes.
+    with pytest.raises(ValueError):
+        od.SearchLimits(time_budget=float("nan"))
 
 
 def test_drawable_k22():
@@ -125,9 +129,7 @@ def _reference_first_witness(g: od.BipartiteGraph) -> od.Drawing | None:
 
 @pytest.mark.parametrize("x, y", [
     (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5), (3, 3),
-    pytest.param(3, 4, marks=pytest.mark.slow),
-    # Listing the classes of (2, 6) alone takes about 15 s.
-    pytest.param(2, 6, marks=pytest.mark.slow),
+    pytest.param(3, 4, marks=pytest.mark.slow), (2, 6),
 ])
 def test_search_agrees_with_rotation_product(x, y):
     # On every connected class the search and the reference rotation
@@ -211,12 +213,43 @@ def test_max_edges_budget_exceeded():
 
 
 def test_canonicalization_honours_budget():
-    # The one 20-edge candidate of (2, 10) has 2! * 10! relabelings, about
-    # 30 s of work; the deadline must cut into them.
+    # The one 20-edge candidate of (10, 2) has 10! row orders, far more
+    # work than the budget; the deadline must cut into them.
     start = time.monotonic()
     with pytest.raises(od.BudgetExceeded):
-        od.max_edges_one_disk(2, 10, od.SearchLimits(time_budget=0.5))
+        od.max_edges_one_disk(10, 2, od.SearchLimits(time_budget=0.5))
     assert time.monotonic() - start < 5.0
+
+
+def test_max_edges_2_10_is_quick():
+    # Its one 20-edge candidate has 2 row orders; trying all 2! * 10!
+    # relabelings would take about half a minute.
+    start = time.monotonic()
+    assert od.max_edges_one_disk(2, 10).max_edges == 20
+    assert time.monotonic() - start < 1.0
+
+
+def _reference_canonical_edges(x: int, y: int, chosen) -> tuple:
+    """The definition: the least adjacency matrix, row by row, over all
+    x! * y! part-preserving relabelings."""
+    matrix = [[0] * y for _ in range(x)]
+    for u, v in chosen:
+        matrix[u][v - x] = 1
+    best = min(tuple(tuple(matrix[r][c] for c in cols) for r in rows)
+               for rows in permutations(range(x)) for cols in permutations(range(y)))
+    return tuple((i, x + j) for i in range(x) for j in range(y) if best[i][j])
+
+
+def test_canonical_edges_match_reference_definition():
+    count = 0
+    for x, y in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (4, 2)]:
+        full = [(i, x + j) for i in range(x) for j in range(y)]
+        for mask in range(1 << len(full)):
+            edges = tuple(e for k, e in enumerate(full) if mask >> k & 1)
+            canon = search._canonical_edges(x, y, edges, od.SearchLimits(), math.inf)
+            assert canon == _reference_canonical_edges(x, y, edges), edges
+            count += 1
+    assert count == 2 + 4 + 8 + 16 + 64 + 256 + 512 + 256
 
 
 _K2_10_BUDGET_CHILD = """
