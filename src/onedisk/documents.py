@@ -38,10 +38,11 @@ an indent.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .drawing import Drawing, DrawingError, build_drawing, disk_face_index, trace_faces
+from .drawing import Drawing, DrawingError, build_drawing, disk_face_index
 from .graph import BipartiteGraph, GraphError, new_bipartite
 
 GRAPH_SCHEMA = "onedisk-graph/1"
@@ -74,6 +75,19 @@ def _require(doc: dict, key: str, kind) -> object:
     return value
 
 
+def _is_int_pair(item) -> bool:
+    return (isinstance(item, list) and len(item) == 2
+            and type(item[0]) is int and type(item[1]) is int)
+
+
+def _int_pairs(items: list) -> bool:
+    """True when every item is a plain list of two ints, checked a
+    property at a time; when False, the caller walks the items with
+    ``_is_int_pair`` to name the first bad one."""
+    return ({*map(type, items)} <= {list} and {*map(len, items)} <= {2}
+            and {*map(type, chain.from_iterable(items))} <= {int})
+
+
 def graph_from_document(doc: dict) -> BipartiteGraph:
     if not isinstance(doc, dict):
         raise ParseError("graph document must be an object")
@@ -82,21 +96,19 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
     x_count = _require(doc, "x_count", int)
     y_count = _require(doc, "y_count", int)
     raw_edges = _require(doc, "edges", list)
-    edges = []
-    for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2
-                and type(item[0]) is int and type(item[1]) is int):
-            raise ParseError(f"edge entry {item!r} is not a pair of integers")
-        edges.append((item[0], item[1]))
+    if not _int_pairs(raw_edges):
+        for item in raw_edges:
+            if not _is_int_pair(item):
+                raise ParseError(f"edge entry {item!r} is not a pair of integers")
     try:
-        return new_bipartite(x_count, y_count, edges)
+        return new_bipartite(x_count, y_count, raw_edges)
     except GraphError as err:
         raise ValidationError(f"{type(err).__name__}: {err}") from err
 
 
 def drawing_to_document(d: Drawing) -> dict:
     edge_index = {e: i for i, e in enumerate(d.graph.edges)}
-    disk_index = disk_face_index(trace_faces(d), d.graph.x_count)
+    disk_index = disk_face_index(d._faces, d.graph.x_count)
     return {
         "schema": DRAWING_SCHEMA,
         "graph": graph_to_document(d.graph),
@@ -113,27 +125,36 @@ def drawing_from_document(doc: dict) -> Drawing:
         raise ParseError(f"expected schema {DRAWING_SCHEMA!r}, got {doc.get('schema')!r}")
     g = graph_from_document(_require(doc, "graph", dict))
     raw_crossings = _require(doc, "crossings", list)
-    pairs = []
-    for item in raw_crossings:
-        if not (isinstance(item, list) and len(item) == 2
-                and type(item[0]) is int and type(item[1]) is int):
-            raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
-        for idx in item:
-            if not 0 <= idx < len(g.edges):
-                raise ParseError(f"crossing references edge index {idx} out of range")
-        pairs.append((g.edges[item[0]], g.edges[item[1]]))
+    edges = g.edges
+    if not (_int_pairs(raw_crossings)
+            and all(0 <= i < len(edges) for i in chain.from_iterable(raw_crossings))):
+        for item in raw_crossings:
+            if not _is_int_pair(item):
+                raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
+            for idx in item:
+                if not 0 <= idx < len(edges):
+                    raise ParseError(f"crossing references edge index {idx} out of range")
+    pairs = [(edges[i], edges[j]) for i, j in raw_crossings]
     raw_rotation = _require(doc, "rotation", dict)
-    rotation: dict[int, tuple[int, ...]] = {}
-    for key, nbrs in raw_rotation.items():
-        try:
-            node = int(key)
-        except ValueError:
-            raise ParseError(f"rotation key {key!r} is not an integer") from None
-        if str(node) != key:
-            raise ParseError(f"rotation key {key!r} is not written as {str(node)!r}")
-        if not (isinstance(nbrs, list) and {*map(type, nbrs)} <= {int}):
-            raise ParseError(f"rotation at {key} is not a list of node ids")
-        rotation[node] = tuple(nbrs)
+    keys = list(raw_rotation)
+    try:
+        nodes = list(map(int, keys))
+    except (TypeError, ValueError):
+        nodes = None
+    lists = raw_rotation.values()
+    if not (nodes is not None and list(map(str, nodes)) == keys
+            and {*map(type, lists)} <= {list}
+            and {*map(type, chain.from_iterable(lists))} <= {int}):
+        for key, nbrs in raw_rotation.items():
+            try:
+                node = int(key)
+            except ValueError:
+                raise ParseError(f"rotation key {key!r} is not an integer") from None
+            if str(node) != key:
+                raise ParseError(f"rotation key {key!r} is not written as {str(node)!r}")
+            if not (isinstance(nbrs, list) and {*map(type, nbrs)} <= {int}):
+                raise ParseError(f"rotation at {key} is not a list of node ids")
+    rotation = dict(zip(nodes, map(tuple, lists)))
     disk_index = doc.get("one_disk_face")
     if disk_index is not None and type(disk_index) is not int:
         raise ParseError("one_disk_face must be an integer or null")
@@ -142,10 +163,10 @@ def drawing_from_document(doc: dict) -> Drawing:
     except (DrawingError, GraphError) as err:
         raise ValidationError(f"{type(err).__name__}: {err}") from err
     if disk_index is not None:
-        faces = trace_faces(d)
+        faces = d._faces
         if not 0 <= disk_index < len(faces):
             raise ValidationError(f"one_disk_face index {disk_index} out of range")
-        if not faces[disk_index].visits_all(range(g.x_count)):
+        if not set(faces[disk_index]).issuperset(range(g.x_count)):
             raise ValidationError(
                 f"face {disk_index} is not incident to every X vertex"
             )
@@ -157,7 +178,8 @@ def _encode(value, indent: str = "") -> str:
 
     ``indent`` is the indent of the line ``value`` starts on.  Takes
     what documents hold: dicts with str keys, lists, str, int and None;
-    anything else raises TypeError.  A list of ints is formatted in one
+    anything else raises TypeError.  A list of ints, and a list of int
+    lists of one nonzero length (edges, crossings), is formatted in one
     join.
     """
     if isinstance(value, list):
@@ -165,8 +187,16 @@ def _encode(value, indent: str = "") -> str:
             return "[]"
         inner = indent + "  "
         sep = ",\n" + inner
-        if {*map(type, value)} == {int}:
+        kinds = {*map(type, value)}
+        if kinds == {int}:
             body = sep.join(map(repr, value))
+        elif (kinds == {list} and len(lengths := {*map(len, value)}) == 1
+              and 0 not in lengths
+              and {*map(type, ints := [*chain.from_iterable(value)])} == {int}):
+            # %d writes an int as repr does; every item has the same slots.
+            deeper = inner + "  "
+            slots = (",\n" + deeper).join(["%d"] * lengths.pop())
+            body = sep.join([f"[\n{deeper}{slots}\n{inner}]"] * len(value)) % tuple(ints)
         else:
             body = sep.join([_encode(v, inner) for v in value])
         return f"[\n{inner}{body}\n{indent}]"

@@ -16,7 +16,13 @@ is what separates a genuine plane drawing from a higher-genus rotation.
 
 A Drawing is checked when it is made, however it is made, and keeps the
 faces its Euler check traced: no unchecked Drawing exists, and no
-drawing is traced twice.
+drawing is traced twice.  It keeps each face as a node cycle, the tuple
+(v0, ..., vk-1) of the face walk with steps (v0, v1), ..., (vk-1, v0).
+Each node's successor map (u -> the neighbour after u in its cyclic
+order) serves both the structure check, as the node's neighbour set,
+and the tracer, which marks side (u, v) walked by popping u from v's
+map; so tracing allocates one tuple per face and none per step.  A
+FaceWalk, with its step tuples, is built only when one is asked for.
 """
 
 from __future__ import annotations
@@ -74,10 +80,10 @@ def _least_first(seq: tuple) -> tuple:
     With distinct items this is also the lexicographically least
     rotation, found in O(k) instead of by comparing all k rotations.
     """
-    if not seq:
-        return seq
-    k = seq.index(min(seq))
-    return seq[k:] + seq[:k] if k else seq
+    if seq and seq[0] != (least := min(seq)):
+        k = seq.index(least)
+        return seq[k:] + seq[:k]
+    return seq
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +125,46 @@ class FaceWalk:
         return all(v in here for v in nodes)
 
 
+def _face_walk(cycle: tuple[int, ...]) -> FaceWalk:
+    """The walk whose nodes, in order, are ``cycle``."""
+    return FaceWalk(tuple(zip(cycle, cycle[1:] + cycle[:1])))
+
+
+def _successors(rotation: Mapping[int, Sequence[int]]) -> dict[int, dict[int, int]]:
+    """Each node's successor map: succ[v][u] is the neighbour after u in
+    the cyclic order at v.  Its keys are v's neighbours, fewer than
+    len(rotation[v]) when the rotation repeats one."""
+    return {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in rotation.items()}
+
+
+def _walk_faces(
+    rotation: Mapping[int, Sequence[int]], succ: Mapping[int, dict[int, int]]
+) -> list[tuple[int, ...]]:
+    """Every face of a consistent rotation system as a node cycle.
+
+    ``succ`` holds the rotation's successor maps; walking side (a, b)
+    pops a from succ[b], so the maps end empty.  The rotation must be
+    symmetric with no repeated neighbor.  Faces come in tracing order:
+    by first side, the sides taken node by node in ascending order and,
+    at each node, in rotation order.  This is the one face tracer.
+    """
+    faces: list[tuple[int, ...]] = []
+    for v in sorted(rotation):
+        for u in rotation[v]:
+            at_u = succ[u]
+            if v not in at_u:
+                continue
+            # The successor rule permutes the sides, so the walk comes back
+            # to (v, u) having walked only sides not walked before.
+            cycle = [v]
+            a, b = u, at_u.pop(v)
+            while a != v or b != u:
+                cycle.append(a)
+                a, b = b, succ[b].pop(a)
+            faces.append(tuple(cycle))
+    return faces
+
+
 def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
@@ -126,33 +172,15 @@ def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     with no repeated neighbors; raises IncompleteRotation otherwise.
     Every directed segment side lands in exactly one returned walk.
     """
-    # succ[v][u] is the neighbor after u in the cyclic order at v.
-    succ: dict[int, dict[int, int]] = {}
+    succ = _successors(rotation)
     for v, nbrs in rotation.items():
-        if len(set(nbrs)) != len(nbrs):
+        if len(succ[v]) != len(nbrs):
             raise IncompleteRotation(f"rotation at {v} repeats a neighbor")
-        succ[v] = {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
     for v, nbrs in rotation.items():
         for u in nbrs:
             if u not in succ or v not in succ[u]:
                 raise IncompleteRotation(f"segment ({v}, {u}) has no reverse side")
-    # Walks are tuples: lists held to the end of a long trace slow every
-    # gc pass.
-    faces: list[FaceWalk] = []
-    visited: set[Step] = set()
-    for v in sorted(rotation):
-        for u in rotation[v]:
-            step = (v, u)
-            if step in visited:
-                continue
-            walk: list[Step] = []
-            while step not in visited:
-                visited.add(step)
-                walk.append(step)
-                a, b = step
-                step = (b, succ[b][a])
-            faces.append(FaceWalk(tuple(walk)))
-    return faces
+    return [_face_walk(cycle) for cycle in _walk_faces(rotation, succ)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +211,24 @@ class Drawing:
     Every rotation is stored read-only and starting at its smallest
     neighbor id, so structurally equal drawings compare equal.  Any
     violated invariant, including genus > 0 found by face tracing,
-    raises a DrawingError subclass.  ``_faces`` holds the traced faces;
-    it takes no part in equality or repr.
+    raises a DrawingError subclass.  ``_faces`` holds the traced faces
+    as node cycles; it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
     crossings: tuple[Crossing, ...]
     rotation: Mapping[int, tuple[int, ...]]
-    _faces: tuple[FaceWalk, ...] = field(init=False, compare=False, repr=False)
+    _faces: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         crossings = _normalize_crossings(self.graph, self.crossings)
-        _validate_structure(self.graph, crossings, self.rotation)
+        succ = _validate_structure(self.graph, crossings, self.rotation)
         rotation = MappingProxyType(
             {v: _least_first(tuple(nbrs)) for v, nbrs in self.rotation.items()}
         )
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "rotation", rotation)
-        faces = _checked_faces(rotation, self.node_count, self.segment_count)
+        faces = _checked_faces(rotation, succ, self.node_count, self.segment_count)
         object.__setattr__(self, "_faces", tuple(faces))
 
     def __reduce__(self):
@@ -226,19 +254,30 @@ def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ..
     edge_set = set(graph.edges)
     out: list[Crossing] = []
     for i, (ea, eb) in enumerate(crossings):
-        ea, eb = sorted((tuple(sorted(ea)), tuple(sorted(eb))))
-        for e in (ea, eb):
-            if e not in edge_set:
-                raise DrawingError(f"crossing {i} references missing edge {e}")
-        if set(ea) & set(eb):
+        try:
+            (a0, a1), (b0, b1) = ea, eb
+        except ValueError:
+            # An edge that is no pair: sorted as it is, it is missing below.
+            ea, eb = sorted((tuple(sorted(ea)), tuple(sorted(eb))))
+        else:
+            ea = (a0, a1) if a0 <= a1 else (a1, a0)
+            eb = (b0, b1) if b0 <= b1 else (b1, b0)
+            if eb < ea:
+                ea, eb = eb, ea
+        if ea not in edge_set:
+            raise DrawingError(f"crossing {i} references missing edge {ea}")
+        if eb not in edge_set:
+            raise DrawingError(f"crossing {i} references missing edge {eb}")
+        if ea[0] in eb or ea[1] in eb:
             raise AdjacentEdgesCross(f"edges {ea} and {eb} share an endpoint")
         out.append(Crossing(ea, eb))
-    crossed: set[Edge] = set()
-    for c in out:
-        for e in c:
-            if e in crossed:
-                raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
-            crossed.add(e)
+    if len({e for c in out for e in c}) != 2 * len(out):
+        crossed: set[Edge] = set()
+        for c in out:
+            for e in c:
+                if e in crossed:
+                    raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
+                crossed.add(e)
     return tuple(out)
 
 
@@ -272,35 +311,72 @@ def _validate_structure(
     graph: BipartiteGraph,
     crossings: Sequence[Crossing],
     rotation: Mapping[int, Sequence[int]],
-) -> None:
+) -> dict[int, dict[int, int]]:
     """Raise the first structural defect of normalized ``crossings`` and
-    ``rotation``, if any."""
-    _check_rotation_nodes(rotation, graph.vertex_count + len(crossings))
-    adj = _planarization_adjacency(graph, crossings)
-    for v, nbrs in rotation.items():
-        if len(set(nbrs)) != len(nbrs) or set(nbrs) != adj[v]:
-            raise IncompleteRotation(
-                f"rotation at node {v} lists {tuple(nbrs)}, expected a cyclic "
-                f"order of {sorted(adj[v])}"
-            )
+    ``rotation``, if any; else return the rotation's successor maps.
+
+    The maps' keys are the planarization's neighbour sets exactly when
+    the rotations list as many sides as the segments have and every side
+    of every segment is among them: the keys then hold at least every
+    side and at most every listed entry, so no entry is a repeat or a
+    stranger.  Only when that fails is the planarization built, to name
+    the first node at fault.
+    """
+    node_count = graph.vertex_count + len(crossings)
+    _check_rotation_nodes(rotation, node_count)
+    succ = _successors(rotation)
+    exact = sum(map(len, rotation.values())) == 2 * (len(graph.edges) + 2 * len(crossings))
+    if exact:
+        crossed = _crossed(graph, crossings)
+        for e in graph.edges:
+            u, v = e
+            d = crossed.get(e)
+            if d is None:
+                if v not in succ[u] or u not in succ[v]:
+                    exact = False
+                    break
+            elif (d not in succ[u] or d not in succ[v]
+                  or u not in succ[d] or v not in succ[d]):
+                exact = False
+                break
+    if not exact:
+        raise _rotation_mismatch(graph, crossings, rotation)
 
     for dummy, c in enumerate(crossings, graph.vertex_count):
         order = rotation[dummy]
         if len(order) != 4:
             raise NonAlternatingDummy(f"dummy {dummy} has degree {len(order)}")
-        a_slots = {i for i, v in enumerate(order) if v in c.edge_a}
-        if a_slots not in ({0, 2}, {1, 3}):
+        a = c.edge_a
+        if not (order[0] in a and order[2] in a or order[1] in a and order[3] in a):
             raise NonAlternatingDummy(
                 f"dummy {dummy} rotation {order} does not alternate "
                 f"{c.edge_a} with {c.edge_b}"
             )
 
-    start = next(iter(adj))
-    seen = reachable(adj, start)
-    if len(seen) != len(adj):
+    seen = reachable(succ, 0)
+    if len(seen) != node_count:
         raise DisconnectedPlanarization(
-            f"planarization has {len(adj) - len(seen)} node(s) unreachable from {start}"
+            f"planarization has {node_count - len(seen)} node(s) unreachable from 0"
         )
+    return succ
+
+
+def _rotation_mismatch(
+    graph: BipartiteGraph,
+    crossings: Sequence[Crossing],
+    rotation: Mapping[int, Sequence[int]],
+) -> IncompleteRotation:
+    """The error naming the first node, in ``rotation``'s order, whose
+    rotation is not a cyclic order of its planarization neighbours; one
+    such node must exist."""
+    adj = _planarization_adjacency(graph, crossings)
+    for v, order in rotation.items():
+        if len(set(order)) != len(order) or set(order) != adj[v]:
+            return IncompleteRotation(
+                f"rotation at node {v} lists {tuple(order)}, expected a cyclic "
+                f"order of {sorted(adj[v])}"
+            )
+    raise AssertionError("the rotation matches the planarization")
 
 
 def _check_rotation_nodes(rotation: Mapping[int, Sequence[int]], node_count: int) -> None:
@@ -323,10 +399,14 @@ def _check_rotation_nodes(rotation: Mapping[int, Sequence[int]], node_count: int
 
 
 def _checked_faces(
-    rotation: Mapping[int, Sequence[int]], node_count: int, segment_count: int
-) -> list[FaceWalk]:
-    """Trace the faces of ``rotation``; raise NotPlanarEmbedding on genus > 0."""
-    faces = rotation_faces(rotation)
+    rotation: Mapping[int, Sequence[int]],
+    succ: Mapping[int, dict[int, int]],
+    node_count: int,
+    segment_count: int,
+) -> list[tuple[int, ...]]:
+    """Trace the faces of the checked ``rotation`` as node cycles; raise
+    NotPlanarEmbedding on genus > 0."""
+    faces = _walk_faces(rotation, succ)
     expected = 2 - node_count + segment_count
     if len(faces) != expected:
         raise NotPlanarEmbedding(
@@ -341,9 +421,9 @@ def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:
 
 
 def trace_faces(d: Drawing) -> list[FaceWalk]:
-    """All face walks of the drawing, in tracing order: a copy of the
+    """All face walks of the drawing, in tracing order, built from the
     faces traced when it was made."""
-    return list(d._faces)
+    return [_face_walk(cycle) for cycle in d._faces]
 
 
 def verification_failure(d: Drawing) -> None:
@@ -352,15 +432,16 @@ def verification_failure(d: Drawing) -> None:
     return None
 
 
-def disk_face_index(faces: Sequence[FaceWalk], x_count: int) -> int | None:
-    """Index of the first face incident to X vertices 0..x_count-1, if any.
+def disk_face_index(faces: Sequence[tuple[int, ...]], x_count: int) -> int | None:
+    """Index of the first face, given as node cycles, incident to X
+    vertices 0..x_count-1, if any.
 
     A face with fewer than x_count steps visits fewer than x_count nodes,
     so it is skipped before its node set is built.
     """
     xs = range(x_count)
-    for i, walk in enumerate(faces):
-        if len(walk) >= x_count and walk.visits_all(xs):
+    for i, cycle in enumerate(faces):
+        if len(cycle) >= x_count and set(cycle).issuperset(xs):
             return i
     return None
 
@@ -372,9 +453,8 @@ def find_one_disk_face(d: Drawing) -> FaceWalk | None:
     so such a face is exactly what lets all X vertices sit on a circle
     with the rest of the drawing inside.
     """
-    faces = trace_faces(d)
-    i = disk_face_index(faces, d.graph.x_count)
-    return None if i is None else faces[i]
+    i = disk_face_index(d._faces, d.graph.x_count)
+    return None if i is None else _face_walk(d._faces[i])
 
 
 def crossing_count(d: Drawing) -> int:

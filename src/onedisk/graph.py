@@ -9,7 +9,7 @@ separate labeling table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NoReturn
 
 Edge = tuple[int, int]
 
@@ -49,19 +49,17 @@ class BipartiteGraph:
         if x_count < 1 or y_count < 1:
             raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
         total = x_count + y_count
-        normalized: list[Edge] = []
-        seen: set[Edge] = set()
-        for u, v in self.edges:
-            if not (0 <= u < total and 0 <= v < total):
-                raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
-            lo, hi = (u, v) if u <= v else (v, u)
-            if lo >= x_count or hi < x_count:
-                raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
-            if (lo, hi) in seen:
-                raise DuplicateEdge(f"edge ({u}, {v}) given twice")
-            seen.add((lo, hi))
-            normalized.append((lo, hi))
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        edges = tuple(self.edges)
+        normalized = [(u, v) if u <= v else (v, u) for u, v in edges]
+        # A good edge list passes these two checks; only a bad one is walked
+        # again, to name its first bad edge.
+        for lo, hi in normalized:
+            if not 0 <= lo < x_count <= hi < total:
+                _raise_first_bad_edge(x_count, total, edges)
+        if len(set(normalized)) != len(normalized):
+            _raise_first_bad_edge(x_count, total, edges)
+        normalized.sort()
+        object.__setattr__(self, "edges", tuple(normalized))
 
     @property
     def vertex_count(self) -> int:
@@ -74,6 +72,22 @@ class BipartiteGraph:
     @property
     def y_vertices(self) -> range:
         return range(self.x_count, self.x_count + self.y_count)
+
+
+def _raise_first_bad_edge(x_count: int, total: int, edges) -> NoReturn:
+    """Raise the GraphError of the first edge that is out of range, inside
+    one part, or a repeat of an earlier edge."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if not (0 <= u < total and 0 <= v < total):
+            raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
+        lo, hi = (u, v) if u <= v else (v, u)
+        if lo >= x_count or hi < x_count:
+            raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
+        if (lo, hi) in seen:
+            raise DuplicateEdge(f"edge ({u}, {v}) given twice")
+        seen.add((lo, hi))
+    raise AssertionError("every edge is good")
 
 
 def new_bipartite(x_count: int, y_count: int, edges) -> BipartiteGraph:
@@ -89,11 +103,11 @@ def edge_count(g: BipartiteGraph) -> int:
 def reachable(adjacency: Mapping[int, Iterable[int]], start: int) -> set[int]:
     """Every node reachable from ``start`` in the adjacency map, start included."""
     seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adjacency[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
+    frontier = {start}
+    while frontier:
+        found: set[int] = set()
+        for v in frontier:
+            found.update(adjacency[v])
+        frontier = found - seen
+        seen |= frontier
     return seen

@@ -67,7 +67,6 @@ from .drawing import (
     _planarization_adjacency,
     build_drawing,
     disk_face_index,
-    trace_faces,
 )
 from .graph import BipartiteGraph, Edge, new_bipartite, reachable
 
@@ -162,7 +161,7 @@ def _decide_drawable(
         for v in g.x_vertices:
             rotation[v].remove(_APEX)
         witness = build_drawing(g, crossings, rotation)
-        if disk_face_index(trace_faces(witness), g.x_count) is None:
+        if disk_face_index(witness._faces, g.x_count) is None:
             raise RuntimeError(f"the embedding of crossing set {matching} has no disk face")
         return witness
     return None
@@ -197,24 +196,34 @@ def _canonical_edges(
     """Least adjacency matrix, compared row by row, over part-preserving
     relabelings.
 
-    Only the x! orders of the X rows are tried; for each, the Y columns are
-    sorted as column vectors.  For a fixed row order that gives the least
-    matrix over all y! column orders: the least row 0 puts row 0's zeros
-    first, and once rows 0..i-1 are least, the column orders that keep them
-    so permute only columns that tie on rows 0..i-1, among which the least
-    row i puts those columns in ascending order of their entry in row i.
-    Induction on i makes the columns ascend as vectors, row 0 first.  The
-    least over all relabelings is the least of these x! matrices.  The
-    clock is read once per row order.
+    Only the orders of the smaller part are tried: the x! orders of the X
+    rows when x <= y, else the y! orders of the Y columns.  For a fixed
+    column order, sorting the rows as tuples gives the least matrix over
+    all x! row orders, since the matrices compare row 0 first, then row 1,
+    and so on.  For a fixed row order, sorting the columns as column
+    vectors gives the least matrix over all y! column orders: the least
+    row 0 puts row 0's zeros first, and once rows 0..i-1 are least, the
+    column orders that keep them so permute only columns that tie on rows
+    0..i-1, among which the least row i puts those columns in ascending
+    order of their entry in row i.  Induction on i makes the columns
+    ascend as vectors, row 0 first.  Either way the least over all
+    relabelings is the least of the matrices tried.  The clock is read
+    once per order tried.
     """
-    columns = [[0] * x for _ in range(y)]
+    rows = [[0] * y for _ in range(x)]
     for u, v in chosen:
-        columns[v - x][u] = 1
+        rows[u][v - x] = 1
+    if x <= y:
+        columns = list(zip(*rows))
+        candidates = (tuple(zip(*sorted(tuple(col[r] for r in order) for col in columns)))
+                      for order in permutations(range(x)))
+    else:
+        candidates = (tuple(sorted(tuple(row[c] for c in order) for row in rows))
+                      for order in permutations(range(y)))
     best = None
-    for rows in permutations(range(x)):
+    for candidate in candidates:
         if time.monotonic() > deadline:
             raise _out_of_time(limits, f"relabeling a {len(chosen)}-edge candidate")
-        candidate = tuple(zip(*sorted(tuple(col[r] for r in rows) for col in columns)))
         if best is None or candidate < best:
             best = candidate
     return tuple((i, x + j) for i in range(x) for j in range(y) if best[i][j])

@@ -145,13 +145,48 @@ def assert_no_violations(g: od.BipartiteGraph, d: od.Drawing | None = None) -> N
 
 
 def _count_traces(monkeypatch) -> list:
-    """Record every call of ``drawing.rotation_faces``, the one face tracer."""
+    """Record every call of ``drawing._walk_faces``, the one face tracer,
+    which every Drawing runs when it is made."""
     calls = []
-    real = drawing_mod.rotation_faces
+    real = drawing_mod._walk_faces
 
-    def counting(rotation):
+    def counting(rotation, succ):
         calls.append(rotation)
-        return real(rotation)
+        return real(rotation, succ)
 
-    monkeypatch.setattr(drawing_mod, "rotation_faces", counting)
+    monkeypatch.setattr(drawing_mod, "_walk_faces", counting)
     return calls
+
+
+def reference_faces(rotation) -> list[tuple]:
+    """The step tuples of every face of ``rotation``, in tracing order.
+
+    The reference the tracer is checked against: a successor walk that
+    marks each side walked in a set of (u, v) steps.  Raises
+    IncompleteRotation on a repeated neighbor, then on a side with no
+    reverse, as ``rotation_faces`` does.
+    """
+    succ = {}
+    for v, nbrs in rotation.items():
+        if len(set(nbrs)) != len(nbrs):
+            raise od.IncompleteRotation(f"rotation at {v} repeats a neighbor")
+        succ[v] = {u: nbrs[(i + 1) % len(nbrs)] for i, u in enumerate(nbrs)}
+    for v, nbrs in rotation.items():
+        for u in nbrs:
+            if u not in succ or v not in succ[u]:
+                raise od.IncompleteRotation(f"segment ({v}, {u}) has no reverse side")
+    faces = []
+    visited = set()
+    for v in sorted(rotation):
+        for u in rotation[v]:
+            step = (v, u)
+            if step in visited:
+                continue
+            walk = []
+            while step not in visited:
+                visited.add(step)
+                walk.append(step)
+                a, b = step
+                step = (b, succ[b][a])
+            faces.append(tuple(walk))
+    return faces

@@ -257,6 +257,20 @@ def test_writer_matches_json_dumps(value):
     assert documents._encode(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+# Lists of int lists of one length, as edges and crossings are, take the
+# writer's one-join path; other shapes mix in to take the general one.
+_int_rows = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(st.integers(-10**12, 10**12), min_size=k, max_size=k),
+                       max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_int_rows, other=_values)
+def test_writer_matches_json_dumps_on_int_rows(rows, other):
+    for value in (rows, {"edges": rows, "other": other}, rows + [other]):
+        assert documents._encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_writer_edge_cases():
     value = {
         "9": [], "10": {}, "name": "gr\u00e4ph \u2192 \"x\"\n", "none": None,

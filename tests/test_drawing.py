@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import onedisk as od
+from onedisk.documents import graph_to_document
 from onedisk.drawing import Drawing, FaceWalk, rotation_faces
 
 from conftest import (
@@ -17,6 +19,7 @@ from conftest import (
     k33,
     no_disk_k33_drawing,
     planar_k22_drawing,
+    reference_faces,
 )
 
 
@@ -129,6 +132,60 @@ def test_tracer_partition_and_genus_parity(data):
         assert euler <= 2 and euler % 2 == 0
 
 
+def test_tracer_matches_reference_on_construct_grid():
+    count = 0
+    for x in range(2, 13):
+        for strategy in ("fan", "zigzag", "seed:0", "seed:1"):
+            for t in range(4):
+                y = 2 + t if x == 2 else 3 * (x - 2) + t
+                _, d = od.construct_extremal(x, y, strategy)
+                for drawing in (d, od.double(d).drawing_star):
+                    expected = reference_faces(drawing.rotation)
+                    assert [f.steps for f in od.trace_faces(drawing)] == expected
+                    assert [f.steps for f in rotation_faces(drawing.rotation)] == expected
+                    count += 1
+    assert count == 11 * 4 * 4 * 2
+
+
+@st.composite
+def _rotation_systems(draw):
+    """A rotation system on nodes 0..n-1 with random cyclic orders, maybe
+    disconnected or of higher genus, and sometimes broken: a neighbour
+    repeated, dropped, or pointing at a node with no rotation."""
+    n = draw(st.integers(1, 7))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(possible))) if possible else set()
+    adj = {v: [] for v in range(n)}
+    for u, v in sorted(edges):
+        adj[u].append(v)
+        adj[v].append(u)
+    rng = draw(st.randoms(use_true_random=False))
+    for order in adj.values():
+        rng.shuffle(order)
+    v = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from(["none", "none", "repeat", "drop", "stranger"]))
+    if defect == "repeat" and adj[v]:
+        adj[v].insert(draw(st.integers(0, len(adj[v]))), adj[v][0])
+    elif defect == "drop" and adj[v]:
+        adj[v].pop(draw(st.integers(0, len(adj[v]) - 1)))
+    elif defect == "stranger":
+        adj[v].append(n)
+    return {v: tuple(order) for v, order in adj.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation=_rotation_systems())
+def test_tracer_matches_reference_on_random_rotations(rotation):
+    try:
+        expected = reference_faces(rotation)
+    except od.IncompleteRotation as err:
+        with pytest.raises(od.IncompleteRotation) as info:
+            rotation_faces(rotation)
+        assert str(info.value) == str(err)
+        return
+    assert [f.steps for f in rotation_faces(rotation)] == expected
+
+
 def _connected(adj):
     seen = {0}
     stack = [0]
@@ -205,6 +262,55 @@ def test_nonplanar_rotation_rejected_at_build_and_trace():
         od.build_drawing(g, [], twisted)
     with pytest.raises(od.NotPlanarEmbedding):
         Drawing(g, (), {k: tuple(v) for k, v in twisted.items()})
+
+
+def _drawing_document(g, crossings, rotation) -> dict:
+    """The document of these fields, written without checking them."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    return {
+        "schema": "onedisk-drawing/1",
+        "graph": graph_to_document(g),
+        "crossings": [[index[a], index[b]] for a, b in crossings],
+        "rotation": {str(v): list(order) for v, order in rotation.items()},
+        "one_disk_face": None,
+    }
+
+
+def _short_rotation_and_unalternated_dummy():
+    # The first dummy stops alternating and the last loses a neighbour:
+    # the short rotation is reported, though its node comes later.
+    _, d = od.construct_extremal(3, 3)
+    first, last = d.graph.vertex_count, d.node_count - 1
+    c = d.crossings[0]
+    rotation = {**d.rotation, first: c.edge_a + c.edge_b, last: d.rotation[last][1:]}
+    return d.graph, d.crossings, rotation
+
+
+def _disconnected_with_genus_one_component():
+    # K2,3 on X {0, 1} and Y {3, 4, 5} with both X rotations alike (genus
+    # 1, one face), plus the edge 2-6 (one face): V - E + F = 7 - 7 + 2
+    # meets Euler's formula, so only connectivity rejects it.
+    g = od.new_bipartite(3, 4, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 6)])
+    rotation = {0: (3, 4, 5), 1: (3, 4, 5), 2: (6,), 3: (0, 1), 4: (0, 1), 5: (0, 1),
+                6: (2,)}
+    return g, (), rotation
+
+
+@pytest.mark.parametrize("defects, error", [
+    (_short_rotation_and_unalternated_dummy, od.IncompleteRotation),
+    (_disconnected_with_genus_one_component, od.DisconnectedPlanarization),
+], ids=["short_rotation_first", "disconnection_before_genus"])
+def test_first_of_two_defects_is_reported(defects, error, tmp_path):
+    g, crossings, rotation = defects()
+    with pytest.raises(od.DrawingError) as info:
+        od.build_drawing(g, crossings, rotation)
+    assert type(info.value) is error
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(_drawing_document(g, crossings, rotation)), encoding="utf-8")
+    with pytest.raises(od.ValidationError) as loaded:
+        od.load_drawing(path)
+    assert type(loaded.value.__cause__) is error
+    assert str(loaded.value) == f"{error.__name__}: {info.value}"
 
 
 def test_faces_traced_once_per_validated_drawing(tmp_path, monkeypatch):
@@ -313,6 +419,23 @@ def _drop_node(d, rng):
     return {"rotation": {u: order for u, order in d.rotation.items() if u != v}}
 
 
+def _stranger(d, rng, v):
+    """A node that v's rotation does not list."""
+    return rng.choice([u for u in range(d.node_count) if u != v and u not in d.rotation[v]])
+
+
+def _misdirect_neighbor(d, rng):
+    v = rng.randrange(d.node_count)
+    order = list(d.rotation[v])
+    order[rng.randrange(len(order))] = _stranger(d, rng, v)
+    return {"rotation": {**d.rotation, v: tuple(order)}}
+
+
+def _add_neighbor(d, rng):
+    v = rng.randrange(d.node_count)
+    return {"rotation": {**d.rotation, v: d.rotation[v] + (_stranger(d, rng, v),)}}
+
+
 def _cross_adjacent(d, rng):
     e = rng.choice(d.graph.edges)
     f = rng.choice([f for f in d.graph.edges if f != e and set(f) & set(e)])
@@ -334,6 +457,8 @@ def _cross_twice(d, rng):
 @pytest.mark.parametrize("corrupt, error", [
     (_drop_neighbor, od.IncompleteRotation),
     (_drop_node, od.IncompleteRotation),
+    (_misdirect_neighbor, od.IncompleteRotation),
+    (_add_neighbor, od.IncompleteRotation),
     (_cross_adjacent, od.AdjacentEdgesCross),
     (_unalternate, od.NonAlternatingDummy),
     (_cross_twice, od.EdgeCrossedTwice),

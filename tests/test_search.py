@@ -213,12 +213,26 @@ def test_max_edges_budget_exceeded():
 
 
 def test_canonicalization_honours_budget():
-    # The one 20-edge candidate of (10, 2) has 10! row orders, far more
-    # work than the budget; the deadline must cut into them.
+    # The first 44-edge candidate of (10, 10) has 10! orders of either
+    # part, far more work than the budget; the deadline must cut into them.
     start = time.monotonic()
-    with pytest.raises(od.BudgetExceeded):
-        od.max_edges_one_disk(10, 2, od.SearchLimits(time_budget=0.5))
+    with pytest.raises(od.BudgetExceeded, match="relabeling"):
+        od.max_edges_one_disk(10, 10, od.SearchLimits(time_budget=0.5))
     assert time.monotonic() - start < 5.0
+
+
+def test_canonical_edges_10_2_is_quick():
+    # With x > y the 2! orders of the Y columns are tried, not the 10! row
+    # orders that took about 19 s.
+    full = tuple((i, 10 + j) for i in range(10) for j in range(2))
+    start = time.monotonic()
+    for edges in (full, full[3:], full[::3]):
+        canon = search._canonical_edges(10, 2, edges, od.SearchLimits(), math.inf)
+        assert len(canon) == len(edges)
+    # full[::3]: three rows 00, three 01 and four 10; with the columns
+    # swapped the rows sort to 00 x3, 01 x4, 10 x3, the lesser matrix.
+    assert canon == ((3, 11), (4, 11), (5, 11), (6, 11), (7, 10), (8, 10), (9, 10))
+    assert time.monotonic() - start < 1.0
 
 
 def test_max_edges_2_10_is_quick():
@@ -242,14 +256,15 @@ def _reference_canonical_edges(x: int, y: int, chosen) -> tuple:
 
 def test_canonical_edges_match_reference_definition():
     count = 0
-    for x, y in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (4, 2)]:
+    for x, y in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (4, 2),
+                 (3, 2), (5, 2), (4, 3)]:
         full = [(i, x + j) for i in range(x) for j in range(y)]
         for mask in range(1 << len(full)):
             edges = tuple(e for k, e in enumerate(full) if mask >> k & 1)
             canon = search._canonical_edges(x, y, edges, od.SearchLimits(), math.inf)
             assert canon == _reference_canonical_edges(x, y, edges), edges
             count += 1
-    assert count == 2 + 4 + 8 + 16 + 64 + 256 + 512 + 256
+    assert count == 2 + 4 + 8 + 16 + 64 + 256 + 512 + 256 + 64 + 1024 + 4096
 
 
 _K2_10_BUDGET_CHILD = """
