@@ -1,9 +1,11 @@
 """Plane embeddings of small simple graphs, for the search's witnesses.
 
 A graph is an adjacency map: every integer node mapped to the set of its
-neighbours, symmetric and without loops.  ``plane_rotation`` returns a
-rotation system of a plane embedding -- each node mapped to its
-neighbours in cyclic order, in the convention of
+neighbours, symmetric and without loops.  ``plane_rotation`` takes a
+graph whose reduction (step 1) is empty or biconnected, as every apex
+planarization the search builds is (see :mod:`onedisk.search`), and
+returns a rotation system of a plane embedding -- each node mapped to
+its neighbours in cyclic order, in the convention of
 :func:`onedisk.drawing.rotation_faces` -- or None when the graph is
 non-planar.  It works in four steps, each of which keeps planarity:
 
@@ -16,15 +18,15 @@ non-planar.  It works in four steps, each of which keeps planarity:
    planar exactly when the input is.
 2. A simple planar graph on V >= 3 nodes has at most 3V - 6 edges, so a
    reduced graph with more is rejected at once.
-3. A graph is planar exactly when each of its biconnected blocks is.  A
-   block of two nodes is one edge.  Every other block is embedded by the
-   path-addition algorithm of Demoucron, Malgrange and Pertuiset (1964),
-   which fails exactly on non-planar blocks and otherwise yields the
-   faces as node cycles, all traversed the same way round.  The block's
-   rotation is read off them: w follows u at v when a face walks u, v, w.
-   A node's orders in its blocks are concatenated, which places each
-   block inside one corner of those before it: the two faces that meet
-   there merge, and Euler's formula still holds.
+3. The reduced graph must be empty or biconnected; that is the
+   routine's contract.  It is embedded by one run of the path-addition
+   algorithm of Demoucron, Malgrange and Pertuiset (1964), which fails
+   exactly on non-planar graphs and otherwise yields the faces as node
+   cycles, all traversed the same way round.  The rotation is read off
+   them: w follows u at v when a face walks u, v, w.  Outside the
+   contract the run raises ValueError, when its first cycle cannot close
+   or a fragment has fewer than two attachments, unless it has found the
+   graph non-planar first; no rotation is ever returned for such a graph.
 4. The undo log is replayed backwards.  A peeled node is appended to its
    neighbour's order.  A suppressed node v with neighbours a and b takes
    b's place at a and a's place at b, subdividing the edge ab; when a
@@ -45,37 +47,31 @@ Adjacency = Mapping[int, AbstractSet[int]]
 
 def plane_rotation(adj: Adjacency) -> dict[int, list[int]] | None:
     """A rotation system of a plane embedding of the simple graph ``adj``,
-    or None when it is non-planar; ``adj`` is not modified."""
+    or None when it is non-planar; ``adj`` is not modified.  A graph whose
+    reduction is neither empty nor biconnected raises ValueError or is
+    found non-planar (module docstring, step 3)."""
     g, undo = _reduced(adj)
     nodes = len(g)
     edges = sum(len(nbrs) for nbrs in g.values()) // 2
     if nodes >= 3 and edges > 3 * nodes - 6:
         return None
-    rotation: dict[int, list[int]] = {v: [] for v in g}
-    for block in _blocks(g):
-        if len(block) == 2:
-            a, b = block
-            rotation[a].append(b)
-            rotation[b].append(a)
-            continue
-        members = set(block)
-        faces = _embeds({v: g[v] & members for v in block})
-        if faces is None:
-            return None
-        # w follows u at v when a face walks u, v, w; appending the block's
-        # order after a node's earlier blocks splices it into one corner.
-        follows: dict[int, dict[int, int]] = {v: {} for v in block}
-        for face in faces:
-            for u, v, w in zip(face[-1:] + face[:-1], face, face[1:] + face[:1]):
-                follows[v][u] = w
-        for v, succ in follows.items():
-            order = rotation[v]
-            first = u = next(iter(succ))
-            while True:
-                order.append(u)
-                u = succ[u]
-                if u == first:
-                    break
+    faces = _embeds(g) if g else []
+    if faces is None:
+        return None
+    # w follows u at v when a face walks u, v, w.
+    follows: dict[int, dict[int, int]] = {v: {} for v in g}
+    for face in faces:
+        for u, v, w in zip(face[-1:] + face[:-1], face, face[1:] + face[:1]):
+            follows[v][u] = w
+    rotation: dict[int, list[int]] = {}
+    for v, succ in follows.items():
+        order = rotation[v] = []
+        first = u = next(iter(succ))
+        while True:
+            order.append(u)
+            u = succ[u]
+            if u == first:
+                break
     # Undo the reduction, last removal first (module docstring, step 4).
     for v, nbrs, adjacent in reversed(undo):
         rotation[v] = list(nbrs)
@@ -118,43 +114,6 @@ def _reduced(adj: Adjacency) -> tuple[dict, list]:
         undo.append((v, tuple(nbrs), adjacent))
         stack.extend(nbrs)
     return g, undo
-
-
-def _blocks(g: dict) -> list[list]:
-    """The node lists of the biconnected blocks with at least one edge
-    (Hopcroft and Tarjan's depth-first search, without recursion)."""
-    index: dict = {}
-    low: dict = {}
-    blocks: list[list] = []
-    for root in g:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack = [root]
-        work = [(root, iter(g[root]))]
-        while work:
-            v, nbrs = work[-1]
-            for u in nbrs:
-                if u not in index:
-                    index[u] = low[u] = len(index)
-                    stack.append(u)
-                    work.append((u, iter(g[u])))
-                    break
-                # A back edge, or the tree edge to v's parent: low[v] may
-                # reach the parent itself, which the cut test below allows.
-                low[v] = min(low[v], index[u])
-            else:
-                work.pop()
-                if not work:
-                    continue
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= index[parent]:
-                    block = [parent]
-                    while block[-1] != v:
-                        block.append(stack.pop())
-                    blocks.append(block)
-    return blocks
 
 
 def _path(g: dict, start, goals, avoid) -> list:
@@ -207,8 +166,10 @@ def _fragments(g: dict, placed: set, placed_edges: set) -> list[tuple[set, list]
                     comp.add(u)
                     frontier.append(u)
         seen |= comp
-        a = min(attachments)
         # In a biconnected graph every fragment has two attachments or more.
+        if len(attachments) < 2:
+            raise ValueError(f"{len(attachments)} attachment(s): the graph is not biconnected")
+        a = min(attachments)
         inner = _path(g, next(u for u in g[a] if u in comp), attachments - {a}, placed)
         out.append((attachments, [a] + inner))
     return out
@@ -216,8 +177,9 @@ def _fragments(g: dict, placed: set, placed_edges: set) -> list[tuple[set, list]
 
 def _embeds(g: dict) -> list[list] | None:
     """Demoucron, Malgrange and Pertuiset's path addition on the biconnected
-    graph ``g`` (at least three nodes): the faces of a plane embedding, or
-    None when there is none.
+    graph ``g`` of minimum degree three: the faces of a plane embedding, or
+    None when there is none.  Raises ValueError on finding that ``g`` is
+    not biconnected.
 
     Faces are node lists, simple cycles because every partial embedding of
     a biconnected graph is biconnected, each traversed the same way round:
@@ -230,6 +192,8 @@ def _embeds(g: dict) -> list[list] | None:
     v = next(iter(g))
     a, *others = g[v]
     cycle = [v] + _path(g, a, set(others), {v})
+    if len(cycle) == 1:
+        raise ValueError(f"node {v} is a cut node: the graph is not biconnected")
     placed = set(cycle)
     placed_edges = set(zip(cycle, cycle[1:] + cycle[:1]))
     placed_edges |= {(b, a) for a, b in placed_edges}

@@ -80,14 +80,6 @@ def _is_int_pair(item) -> bool:
             and type(item[0]) is int and type(item[1]) is int)
 
 
-def _int_pairs(items: list) -> bool:
-    """True when every item is a plain list of two ints, checked a
-    property at a time; when False, the caller walks the items with
-    ``_is_int_pair`` to name the first bad one."""
-    return ({*map(type, items)} <= {list} and {*map(len, items)} <= {2}
-            and {*map(type, chain.from_iterable(items))} <= {int})
-
-
 def graph_from_document(doc: dict) -> BipartiteGraph:
     if not isinstance(doc, dict):
         raise ParseError("graph document must be an object")
@@ -96,10 +88,9 @@ def graph_from_document(doc: dict) -> BipartiteGraph:
     x_count = _require(doc, "x_count", int)
     y_count = _require(doc, "y_count", int)
     raw_edges = _require(doc, "edges", list)
-    if not _int_pairs(raw_edges):
-        for item in raw_edges:
-            if not _is_int_pair(item):
-                raise ParseError(f"edge entry {item!r} is not a pair of integers")
+    for item in raw_edges:
+        if not _is_int_pair(item):
+            raise ParseError(f"edge entry {item!r} is not a pair of integers")
     try:
         return new_bipartite(x_count, y_count, raw_edges)
     except GraphError as err:
@@ -126,14 +117,12 @@ def drawing_from_document(doc: dict) -> Drawing:
     g = graph_from_document(_require(doc, "graph", dict))
     raw_crossings = _require(doc, "crossings", list)
     edges = g.edges
-    if not (_int_pairs(raw_crossings)
-            and all(0 <= i < len(edges) for i in chain.from_iterable(raw_crossings))):
-        for item in raw_crossings:
-            if not _is_int_pair(item):
-                raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
-            for idx in item:
-                if not 0 <= idx < len(edges):
-                    raise ParseError(f"crossing references edge index {idx} out of range")
+    for item in raw_crossings:
+        if not _is_int_pair(item):
+            raise ParseError(f"crossing entry {item!r} is not a pair of edge indices")
+        for idx in item:
+            if not 0 <= idx < len(edges):
+                raise ParseError(f"crossing references edge index {idx} out of range")
     pairs = [(edges[i], edges[j]) for i, j in raw_crossings]
     raw_rotation = _require(doc, "rotation", dict)
     keys = list(raw_rotation)

@@ -319,7 +319,7 @@ def _validate_structure(
     the rotations list as many sides as the segments have and every side
     of every segment is among them: the keys then hold at least every
     side and at most every listed entry, so no entry is a repeat or a
-    stranger.  Only when that fails is the planarization built, to name
+    stranger, and each dummy lists its four neighbours once.  Only when that fails is the planarization built, to name
     the first node at fault.
     """
     node_count = graph.vertex_count + len(crossings)
@@ -344,8 +344,6 @@ def _validate_structure(
 
     for dummy, c in enumerate(crossings, graph.vertex_count):
         order = rotation[dummy]
-        if len(order) != 4:
-            raise NonAlternatingDummy(f"dummy {dummy} has degree {len(order)}")
         a = c.edge_a
         if not (order[0] in a and order[2] in a or order[1] in a and order[3] in a):
             raise NonAlternatingDummy(

@@ -47,6 +47,34 @@ planarization is a 1-disk drawing with crossing set C.  Sizes ascend,
 so the first set found planar has size k, and a "no" answer costs one
 planarity test per crossing set.
 
+*Apex planarizations meet the contract of the planarity routine.*
+``plane_rotation`` takes only graphs whose peel-and-suppress reduction
+is empty or biconnected; the apex planarization H of a connected G is
+such a graph.  Call a connected graph K *nearly biconnected* when, for
+every node w, all nodes of K - w but the leaves (nodes of degree 1)
+adjacent to w lie in one component.  H is nearly biconnected:
+
+- every X vertex is adjacent to the apex;
+- every dummy is adjacent to two distinct X vertices, the X ends of
+  its two independent edges;
+- every Y vertex is adjacent only to X vertices and dummies;
+- so removing a node w other than the apex leaves the apex, the other
+  X vertices, every dummy and every Y vertex with a neighbour besides w
+  in one component.  It cuts off only leaves adjacent to w: Y vertices
+  of degree 1, or the apex when x = 1.  Removing the apex leaves the
+  planarization of G, which is connected.
+
+Each reduction step keeps K nearly biconnected, and a node cut off
+from K - w stays a leaf adjacent to w, as its one edge is untouched.
+Peeling a leaf removes a node cut off from K - w or a leaf of the one
+component.  Suppressing a node v of degree 2 with neighbours a and b
+replaces the path a, v, b in K - w by the edge ab when w is not a or
+b; when w = a, v hangs from b alone in K - a, and removing it leaves
+the rest connected.  So suppressing a degree-2 node keeps a biconnected
+graph biconnected.  The reduction stops at the empty graph or at
+minimum degree 3, where K has no leaves, so no node cuts it: K is
+biconnected.
+
 Only connected candidate graphs are enumerated: an edge-maximal graph
 drawable this way is connected, so disconnected candidates never set the
 maximum.  The time budget is the only limit: every answer comes from an
@@ -62,8 +90,8 @@ from itertools import combinations, permutations
 from ._planarity import plane_rotation
 from .bounds import one_disk_max_edges
 from .drawing import (
+    Crossing,
     Drawing,
-    _normalize_crossings,
     _planarization_adjacency,
     build_drawing,
     disk_face_index,
@@ -149,7 +177,8 @@ def _decide_drawable(
     for matching in _matchings(edges, smallest):
         if time.monotonic() > deadline:
             raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
-        crossings = _normalize_crossings(g, [(edges[i], edges[j]) for i, j in matching])
+        # Edges are sorted pairs and i < j, so these are in normal form.
+        crossings = tuple([Crossing(edges[i], edges[j]) for i, j in matching])
         adj = _planarization_adjacency(g, crossings)
         for v in g.x_vertices:
             adj[v].add(_APEX)

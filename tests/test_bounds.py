@@ -36,6 +36,16 @@ def test_one_disk_domain():
         od.one_disk_max_edges(4, 3)
 
 
+@pytest.mark.parametrize("formula, args", [
+    (od.huang_max_edges, (3, 2)),
+    (od.czap_max_edges, (1, 1)),
+    (od.problem_target_edges, (1, 5)),
+], ids=lambda p: getattr(p, "__name__", None))
+def test_formula_domains(formula, args):
+    with pytest.raises(od.OutOfDomain):
+        formula(*args)
+
+
 def test_huang_values():
     assert od.huang_max_edges(3, 3) == 12
     assert od.huang_max_edges(3, 6) == 18
@@ -123,6 +133,12 @@ def test_check_extremal_4_6_tight():
     entry = report.entry("one_disk")
     assert entry.applicable and entry.tight and not entry.violated
     assert entry.limit == 18 and entry.actual == 18
+
+
+def test_check_entry_names_a_ceiling():
+    d = planar_k22_drawing()
+    with pytest.raises(KeyError):
+        od.check(d.graph, d).entry("nope")
 
 
 def test_check_without_drawing():

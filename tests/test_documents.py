@@ -181,6 +181,59 @@ def test_wrong_disk_face_index_is_validation_error(tmp_path):
         od.load_drawing(path)
 
 
+def test_disk_face_missing_an_x_vertex_is_validation_error(tmp_path, capsys):
+    _, d = od.construct_extremal(4, 6)
+    doc = documents.drawing_to_document(d)
+    doc["one_disk_face"] = next(i for i, face in enumerate(d._faces)
+                                if not set(face) >= set(range(d.graph.x_count)))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(documents.ValidationError, match="not incident to every X vertex"):
+        od.load_drawing(path)
+    assert main(["verify", "--drawing", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("invalid drawing: ") and "Traceback" not in err, (out, err)
+
+
+def _set_crossing_index(value):
+    def corrupt(doc):
+        doc["crossings"][0][1] = value
+        return doc
+    return corrupt
+
+
+def _rename_rotation_key(doc):
+    doc["rotation"]["a"] = doc["rotation"].pop("0")
+    return doc
+
+
+def _drop_rotation(doc):
+    del doc["rotation"]
+    return doc
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_set_crossing_index(999), "edge index 999 out of range"),
+    (_set_crossing_index(-1), "edge index -1 out of range"),
+    (_rename_rotation_key, "rotation key 'a'"),
+    (_drop_rotation, "missing key 'rotation'"),
+    (lambda doc: [], "must be an object"),
+], ids=["crossing_999", "crossing_minus_1", "rotation_key_a", "no_rotation", "top_level_list"])
+def test_malformed_drawing_document_is_parse_error(corrupt, match, tmp_path, capsys):
+    _, d = od.construct_extremal(3, 3)
+    doc = corrupt(documents.drawing_to_document(d))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(documents.ParseError, match=match):
+        documents.drawing_from_document(doc)
+    with pytest.raises(documents.ParseError, match=match):
+        od.load_drawing(path)
+    assert main(["verify", "--drawing", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     x=st.integers(1, 4),

@@ -454,6 +454,17 @@ def _cross_twice(d, rng):
     return {"crossings": d.crossings + ((e, f),)}
 
 
+def _cross_missing_edge(d, rng):
+    # Two X vertices are never joined.
+    e = rng.choice([e for e in d.graph.edges if not set(e) & {0, 1}])
+    return {"crossings": d.crossings + (((0, 1), e),)}
+
+
+def _cross_non_pair(d, rng):
+    e, f = rng.choice(d.crossings)
+    return {"crossings": d.crossings + ((e + f[:1], f),)}
+
+
 @pytest.mark.parametrize("corrupt, error", [
     (_drop_neighbor, od.IncompleteRotation),
     (_drop_node, od.IncompleteRotation),
@@ -462,6 +473,8 @@ def _cross_twice(d, rng):
     (_cross_adjacent, od.AdjacentEdgesCross),
     (_unalternate, od.NonAlternatingDummy),
     (_cross_twice, od.EdgeCrossedTwice),
+    (_cross_missing_edge, od.DrawingError),
+    (_cross_non_pair, od.DrawingError),
 ], ids=lambda p: getattr(p, "__name__", None))
 def test_single_field_corruption_raises_its_invariant(corrupt, error):
     rng = random.Random(corrupt.__name__)

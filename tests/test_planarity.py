@@ -50,23 +50,45 @@ def _adjacency(g) -> dict[int, set[int]]:
     return {v: set(g[v]) for v in g}
 
 
+def _certified_by_blocks(g) -> tuple[bool, bool]:
+    """Whether the networkx graph ``g`` is planar, and whether it falls
+    outside ``plane_rotation``'s contract.  Such a graph must raise
+    ValueError; each of its biconnected blocks is certified instead."""
+    adj = _adjacency(g)
+    try:
+        return _certified(adj), False
+    except ValueError:
+        blocks = [g.subgraph(b) for b in nx.biconnected_components(g)]
+        assert len(blocks) > 1
+        planar = all([_certified(_adjacency(b)) for b in blocks])
+        assert planar == nx.check_planarity(g)[0]
+        return planar, True
+
+
 def test_agrees_on_the_graph_atlas():
     atlas = nx.graph_atlas_g()
     assert len(atlas) == 1253
-    for g in atlas:
-        _certified(_adjacency(g))
+    outside = [i for i, g in enumerate(atlas) if _certified_by_blocks(g)[1]]
+    # Two K4s sharing a node: a cut node survives the reduction.
+    assert outside == [1009]
 
 
 def test_agrees_on_random_graphs():
     rng = random.Random(20261018)
     planar = 0
-    for _ in range(3000):
+    outside = []
+    for draw in range(3000):
         n = rng.randint(8, 14)
         # Edge probabilities around the planarity threshold of these sizes.
         g = nx.gnp_random_graph(n, rng.uniform(0.15, 0.55), seed=rng.randrange(1 << 30))
-        planar += _certified(_adjacency(g))
+        is_planar, is_outside = _certified_by_blocks(g)
+        planar += is_planar
+        if is_outside:
+            outside.append(draw)
     # Both answers occur often, so neither is right by default.
     assert 600 < planar < 2400
+    # 13 nodes that reduce to 9 with one cut node.
+    assert outside == [209]
 
 
 def test_agrees_on_apex_planarizations():
@@ -92,16 +114,25 @@ def test_suppressed_node_beside_an_edge_is_undone():
     _assert_plane(adj, rotation)
 
 
-def test_blocks_sharing_a_node_are_spliced():
-    # Two K4 blocks on nodes 0-3 and 0, 4-6: node 0's orders in both are
-    # joined into one rotation.
-    adj: dict[int, set[int]] = {v: set() for v in range(7)}
-    for block in ((0, 1, 2, 3), (0, 4, 5, 6)):
+def _cliques(*blocks: tuple[int, ...]) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {v: set() for block in blocks for v in block}
+    for block in blocks:
         for v in block:
             adj[v] |= set(block) - {v}
-    rotation = plane_rotation(adj)
-    assert rotation is not None
-    _assert_plane(adj, rotation)
+    return adj
+
+
+@pytest.mark.parametrize("adj", [
+    _cliques((0, 1, 2, 3), (0, 4, 5, 6)),
+    # Node 4 comes first, so the first cycle would have to cross the bridge.
+    _cliques((4, 5, 6, 7), (0, 1, 2, 3), (3, 4)),
+    _cliques((0, 1, 2, 3), (4, 5, 6, 7)),
+], ids=["sharing_a_node", "joined_by_a_bridge", "disjoint"])
+def test_graphs_that_reduce_to_several_blocks_are_refused(adj):
+    # Each is planar, but its reduction is neither empty nor biconnected,
+    # so no rotation is returned for it.
+    with pytest.raises(ValueError, match="not biconnected"):
+        plane_rotation(adj)
 
 
 def test_does_not_mutate_its_input():

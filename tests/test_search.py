@@ -13,6 +13,7 @@ import pytest
 import onedisk as od
 from onedisk import search
 from onedisk._planarity import plane_rotation
+from onedisk.drawing import _normalize_crossings
 
 from conftest import (
     SIZES_UP_TO_3_3,
@@ -43,6 +44,11 @@ def test_limits_must_be_positive():
     # NaN compares false with everything, and a NaN deadline never passes.
     with pytest.raises(ValueError):
         od.SearchLimits(time_budget=float("nan"))
+
+
+def test_part_sizes_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        od.max_edges_one_disk(0, 3)
 
 
 def test_drawable_k22():
@@ -119,7 +125,7 @@ def _reference_first_witness(g: od.BipartiteGraph) -> od.Drawing | None:
     that bound is proved without any planarity test."""
     smallest = max(0, len(g.edges) - g.x_count - 2 * g.y_count + 2)
     for matching in search._matchings(g.edges, smallest):
-        crossings = search._normalize_crossings(
+        crossings = _normalize_crossings(
             g, [(g.edges[i], g.edges[j]) for i, j in matching])
         witness = reference_witness(g, crossings)
         if witness is not None:
@@ -163,12 +169,22 @@ def test_networkx_rejects_every_apex_planarization_of_k34():
     assert count == 11896
 
 
+def test_matchings_are_crossings_in_normal_form():
+    # The search builds Crossing(edges[i], edges[j]) for each pair (i, j)
+    # that _matchings yields, without normalizing them.
+    for x, y in SIZES_UP_TO_3_3:
+        for g in connected_classes(x, y):
+            for matching in search._matchings(g.edges):
+                pairs = [(g.edges[i], g.edges[j]) for i, j in matching]
+                assert tuple(map(od.Crossing._make, pairs)) == _normalize_crossings(g, pairs)
+
+
 def _passing(g: od.BipartiteGraph):
     """The crossing sets of ``g`` that pass the search's planarity filter,
     in enumeration order."""
     for matching in search._matchings(g.edges):
         if plane_rotation(apex_planarization(g, matching)) is not None:
-            yield search._normalize_crossings(
+            yield _normalize_crossings(
                 g, [(g.edges[i], g.edges[j]) for i, j in matching])
 
 
