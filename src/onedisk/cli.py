@@ -9,10 +9,12 @@ Subcommands map one-to-one onto library operations:
     double    --drawing P --out-graph P --out-drawing P
     search    --x N --y M [--budget SECONDS] [--out-witness P]
 
-Every subcommand accepts --json for machine-readable output.  Exit
-codes: 0 success, 1 verification or construction failure, 2 usage or
-parse error (including an output file that cannot be written), 3 search
-budget exceeded.
+Every subcommand accepts --json for machine-readable output; ``_emit``
+prints every result, as JSON or as text lines followed by one line per
+file written.  Exit codes: 0 success, 1 verification or construction
+failure, 2 usage or parse error (including an output file that cannot be
+written), 3 search budget exceeded.  ``_EXIT_CODES`` is the one place
+that decides the code of an error a subcommand raises.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -51,12 +54,25 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# The label of the text line naming each file a payload says was written.
+_WRITTEN = {"graph_path": "graph", "drawing_path": "drawing",
+            "svg_path": "figure", "witness_path": "witness"}
+
+
 def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Print the payload as JSON with --json; else the text lines, then one
+    line per file written."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return
+    written = [f"{label:<8} -> {payload[key]}" for key, label in _WRITTEN.items()
+               if payload.get(key)]
+    print("\n".join(lines + written))
+
+
+def _counts(d) -> dict:
+    """The edge and crossing counts of a drawing, as payload fields."""
+    return {"edges": edge_count(d.graph), "crossings": crossing_count(d)}
 
 
 def _fraction_str(value) -> str:
@@ -79,18 +95,15 @@ def _cmd_construct(args) -> int:
     payload = {
         "x": g.x_count,
         "y": g.y_count,
-        "edges": edge_count(g),
-        "crossings": crossing_count(d),
-        "graph_path": str(args.out_graph),
-        "drawing_path": str(args.out_drawing),
-        "svg_path": str(args.svg) if args.svg else None,
+        **_counts(d),
+        "graph_path": args.out_graph,
+        "drawing_path": args.out_drawing,
+        "svg_path": args.svg or None,
     }
     _emit(args, payload, [
         f"constructed parts ({g.x_count}, {g.y_count}): "
-        f"{edge_count(g)} edges, {crossing_count(d)} crossings",
-        f"graph    -> {args.out_graph}",
-        f"drawing  -> {args.out_drawing}",
-    ] + ([f"figure   -> {args.svg}"] if args.svg else []))
+        f"{payload['edges']} edges, {payload['crossings']} crossings",
+    ])
     return 0
 
 
@@ -99,32 +112,22 @@ def _cmd_verify(args) -> int:
         d = documents.load_drawing(args.drawing)
     except documents.ValidationError as err:
         _emit(args, {"one_planar": False, "one_disk": False, "crossings": None,
-                     "edges": None, "reason": str(err)},
-              [f"invalid drawing: {err}"])
+                     "edges": None, "reason": str(err)}, [f"invalid drawing: {err}"])
         return 1
     # load_drawing validated d through build_drawing: it is 1-planar.
-    disk = find_one_disk_face(d)
     payload = {
         "one_planar": True,
-        "one_disk": disk is not None,
-        "crossings": crossing_count(d),
-        "edges": edge_count(d.graph),
+        "one_disk": find_one_disk_face(d) is not None,
+        **_counts(d),
         "reason": None,
     }
     _emit(args, payload, [
         "1-planar:  yes",
-        f"1-disk:    {'yes' if disk is not None else 'no'}",
-        f"edges:     {edge_count(d.graph)}",
-        f"crossings: {crossing_count(d)}",
+        f"1-disk:    {'yes' if payload['one_disk'] else 'no'}",
+        f"edges:     {payload['edges']}",
+        f"crossings: {payload['crossings']}",
     ])
     return 0
-
-
-def _bounds_table(x: int, y: int) -> dict:
-    return {
-        name: _fraction_str(limit) if isinstance(limit, Fraction) else limit
-        for name, limit in bounds_mod.ceilings(x, y).items()
-    }
 
 
 def _cmd_bounds(args) -> int:
@@ -136,85 +139,63 @@ def _cmd_bounds(args) -> int:
         g = documents.load_graph(args.graph)
         d = documents.load_drawing(args.drawing) if args.drawing else None
         report = bounds_mod.check(g, d)
-        payload = {
-            "entries": [
-                {
-                    "name": e.name,
-                    "applicable": e.applicable,
-                    "limit": _fraction_str(e.limit) if e.limit is not None else None,
-                    "actual": e.actual,
-                    "tight": e.tight,
-                    "violated": e.violated,
-                }
-                for e in report.entries
-            ]
-        }
-        lines = [
-            f"{e.name:>17}: limit {_fraction_str(e.limit) if e.limit is not None else 'n/a':>5}"
-            f"  actual {e.actual:>3}"
-            f"  {'applicable' if e.applicable else 'inapplicable'}"
-            f"{'  TIGHT' if e.tight else ''}{'  VIOLATED' if e.violated else ''}"
+        entries = [
+            {**asdict(e), "limit": None if e.limit is None else _fraction_str(e.limit)}
             for e in report.entries
         ]
-        _emit(args, payload, lines)
+        _emit(args, {"entries": entries}, [
+            f"{e['name']:>17}: limit {e['limit'] or 'n/a':>5}  actual {e['actual']:>3}"
+            f"  {'applicable' if e['applicable'] else 'inapplicable'}"
+            f"{'  TIGHT' if e['tight'] else ''}{'  VIOLATED' if e['violated'] else ''}"
+            for e in entries
+        ])
         return 1 if report.violations() else 0
     if args.x is None or args.y is None:
         print("bounds: provide --x and --y, or --graph", file=sys.stderr)
         return 2
-    table = _bounds_table(args.x, args.y)
-    payload = {"x": args.x, "y": args.y, "n": args.x + args.y, "bounds": table}
-    lines = [f"{name:>17}: {value if value is not None else 'n/a'}"
-             for name, value in table.items()]
-    _emit(args, payload, lines)
+    ceilings = bounds_mod.ceilings(args.x, args.y)
+    table = {name: _fraction_str(limit) if isinstance(limit, Fraction) else limit
+             for name, limit in ceilings.items()}
+    _emit(args, {"x": args.x, "y": args.y, "n": args.x + args.y, "bounds": table},
+          [f"{name:>17}: {_fraction_str(limit)}" for name, limit in ceilings.items()])
     return 0
 
 
 def _cmd_double(args) -> int:
-    d = documents.load_drawing(args.drawing)
-    result = double(d)
+    result = double(documents.load_drawing(args.drawing))
     documents.save_graph(result.graph_star, args.out_graph)
     documents.save_drawing(result.drawing_star, args.out_drawing)
     payload = {
         "vertices": result.graph_star.vertex_count,
-        "edges": edge_count(result.graph_star),
-        "crossings": crossing_count(result.drawing_star),
-        "graph_path": str(args.out_graph),
-        "drawing_path": str(args.out_drawing),
+        **_counts(result.drawing_star),
+        "graph_path": args.out_graph,
+        "drawing_path": args.out_drawing,
     }
     _emit(args, payload, [
-        f"doubled: {result.graph_star.vertex_count} vertices, "
-        f"{edge_count(result.graph_star)} edges, "
-        f"{crossing_count(result.drawing_star)} crossings",
-        f"graph    -> {args.out_graph}",
-        f"drawing  -> {args.out_drawing}",
+        f"doubled: {payload['vertices']} vertices, "
+        f"{payload['edges']} edges, {payload['crossings']} crossings",
     ])
     return 0
 
 
 def _cmd_search(args) -> int:
-    limits = SearchLimits(time_budget=args.budget)
-    outcome = max_edges_one_disk(args.x, args.y, limits)
-    witness_path = None
-    if outcome.witness is not None and args.out_witness:
-        documents.save_drawing(outcome.witness, args.out_witness)
-        witness_path = str(args.out_witness)
+    outcome = max_edges_one_disk(args.x, args.y, SearchLimits(time_budget=args.budget))
+    witness = outcome.witness
+    witness_path = args.out_witness if witness is not None else None
+    if witness_path:
+        documents.save_drawing(witness, witness_path)
     payload = {
         "x": args.x,
         "y": args.y,
         "max_edges": outcome.max_edges,
         "candidates": "connected",
-        "witness_path": witness_path,
-        "witness_crossings": (
-            crossing_count(outcome.witness) if outcome.witness is not None else None
-        ),
+        "witness_path": witness_path or None,
+        "witness_crossings": crossing_count(witness) if witness is not None else None,
     }
-    lines = [
+    _emit(args, payload, [
         f"maximum edges for parts ({args.x}, {args.y}): {outcome.max_edges}"
         " (exhaustive; connected candidates only)",
-    ]
-    if witness_path:
-        lines.append(f"witness  -> {witness_path}")
-    _emit(args, payload, lines)
+    ])
     return 0
 
 
@@ -245,12 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-drawing", required=True)
     p.add_argument("--svg", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a drawing file")
     p.add_argument("--drawing", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="print edge ceilings or a bounds report")
@@ -258,14 +237,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_positive_int, default=None)
     p.add_argument("--graph", default=None)
     p.add_argument("--drawing", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("double", help="mirror-glue a drawing along its disk face")
     p.add_argument("--drawing", required=True)
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-drawing", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_double)
 
     p = sub.add_parser("search", help="exhaustive maximum edge count for tiny parts")
@@ -273,29 +250,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_positive_int, required=True)
     p.add_argument("--budget", type=_positive_float, default=300.0)
     p.add_argument("--out-witness", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
+# The exit code of each error a subcommand may raise; the first match wins,
+# and a ParseError is a ValueError.
+_EXIT_CODES = ((documents.ParseError, 2), (OSError, 2), (BudgetExceeded, 3),
+               (ValueError, 1))
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return args.func(args)
-    except (documents.ParseError, OSError) as err:
+    except (ValueError, OSError, BudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
 
 
 def entry() -> None:

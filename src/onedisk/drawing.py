@@ -28,7 +28,7 @@ FaceWalk, with its step tuples, is built only when one is asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -325,7 +325,8 @@ def _validate_structure(
     node_count = graph.vertex_count + len(crossings)
     _check_rotation_nodes(rotation, node_count)
     succ = _successors(rotation)
-    exact = sum(map(len, rotation.values())) == 2 * (len(graph.edges) + 2 * len(crossings))
+    exact = (sum(map(len, rotation.values())) == 2 * (len(graph.edges) + 2 * len(crossings))
+             and {*map(type, chain.from_iterable(rotation.values()))} <= {int})
     if exact:
         crossed = _crossed(graph, crossings)
         for e in graph.edges:
@@ -365,11 +366,12 @@ def _rotation_mismatch(
     rotation: Mapping[int, Sequence[int]],
 ) -> IncompleteRotation:
     """The error naming the first node, in ``rotation``'s order, whose
-    rotation is not a cyclic order of its planarization neighbours; one
-    such node must exist."""
+    rotation is not a cyclic order of its planarization neighbours' int
+    ids; one such node must exist."""
     adj = _planarization_adjacency(graph, crossings)
     for v, order in rotation.items():
-        if len(set(order)) != len(order) or set(order) != adj[v]:
+        if (not {*map(type, order)} <= {int}
+                or len(set(order)) != len(order) or set(order) != adj[v]):
             return IncompleteRotation(
                 f"rotation at node {v} lists {tuple(order)}, expected a cyclic "
                 f"order of {sorted(adj[v])}"
@@ -379,11 +381,14 @@ def _rotation_mismatch(
 
 def _check_rotation_nodes(rotation: Mapping[int, Sequence[int]], node_count: int) -> None:
     """Raise IncompleteRotation unless ``rotation`` is keyed by exactly the
-    nodes 0..node_count-1.
+    int nodes 0..node_count-1.
 
     Takes time and memory bounded by len(rotation), not by node_count,
     which a document may claim to be huge.
     """
+    if not {*map(type, rotation)} <= {int}:
+        stray = next(v for v in rotation if type(v) is not int)
+        raise IncompleteRotation(f"rotation node {stray!r} is not an int")
     nodes = range(node_count)
     if len(rotation) == node_count and rotation.keys() == set(nodes):
         return

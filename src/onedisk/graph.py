@@ -9,6 +9,7 @@ separate labeling table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, NoReturn
 
 Edge = tuple[int, int]
@@ -27,16 +28,17 @@ class DuplicateEdge(GraphError):
 
 
 class VertexOutOfRange(GraphError):
-    """An edge endpoint is not a valid vertex id."""
+    """An edge endpoint is not a valid vertex id: not an int, or out of range."""
 
 
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable simple graph in which every edge joins an X and a Y vertex.
 
-    Checked when it is made: an empty part, a loop, a duplicate edge, an
-    edge inside one part or an endpoint out of range raises a GraphError
-    subclass.  ``edges`` may give each pair in either order; it is stored
+    Checked when it is made: a part size that is not a positive int, a
+    loop, a duplicate edge, an edge inside one part or an endpoint that is
+    not an int in range raises a GraphError subclass (a bool is not an
+    int here).  ``edges`` may give each pair in either order; it is stored
     sorted, X endpoint first, so equal edge sets compare equal.
     """
 
@@ -46,13 +48,17 @@ class BipartiteGraph:
 
     def __post_init__(self) -> None:
         x_count, y_count = self.x_count, self.y_count
+        if type(x_count) is not int or type(y_count) is not int:
+            raise GraphError(f"part sizes must be ints, got {x_count!r} and {y_count!r}")
         if x_count < 1 or y_count < 1:
             raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
         total = x_count + y_count
         edges = tuple(self.edges)
+        # A good edge list passes these three checks; only a bad one is
+        # walked again, to name its first bad edge.
+        if not {*map(type, chain.from_iterable(edges))} <= {int}:
+            _raise_first_bad_edge(x_count, total, edges)
         normalized = [(u, v) if u <= v else (v, u) for u, v in edges]
-        # A good edge list passes these two checks; only a bad one is walked
-        # again, to name its first bad edge.
         for lo, hi in normalized:
             if not 0 <= lo < x_count <= hi < total:
                 _raise_first_bad_edge(x_count, total, edges)
@@ -75,10 +81,13 @@ class BipartiteGraph:
 
 
 def _raise_first_bad_edge(x_count: int, total: int, edges) -> NoReturn:
-    """Raise the GraphError of the first edge that is out of range, inside
-    one part, or a repeat of an earlier edge."""
+    """Raise the GraphError of the first edge that has an endpoint that is
+    not an int, is out of range, inside one part, or a repeat of an earlier
+    edge."""
     seen: set[Edge] = set()
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < total and 0 <= v < total):
             raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
         lo, hi = (u, v) if u <= v else (v, u)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,12 +9,14 @@ import pytest
 
 import onedisk as od
 from onedisk.cli import main
+from onedisk.documents import drawing_to_document
 
 from conftest import (
     FIXTURES,
     UNDECODABLE_FILES,
     _count_traces,
     huge_claim_document,
+    k33,
     no_disk_k33_drawing,
 )
 
@@ -280,3 +283,115 @@ def test_bounds_rejects_nonpositive_sizes(capsys):
     assert main(["bounds", "--x", "3", "--y", "0", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be at least 1" in captured.err
+
+
+# Run in order in one directory: later cases read the files earlier ones
+# write.  Every case's exit code, stdout and stderr is pinned.
+_PINNED_CASES = [
+    "construct --x 4 --y 6 --out-graph g.json --out-drawing d.json --svg f.svg",
+    "construct --x 4 --y 6 --out-graph gj.json --out-drawing dj.json --svg fj.svg --json",
+    "construct --x 5 --y 9 --strategy zigzag --out-graph gz.json --out-drawing dz.json",
+    "construct --x 5 --y 9 --strategy seed:3 --out-graph gs.json --out-drawing ds.json --json",
+    "construct --x 2 --y 2 --out-graph g22.json --out-drawing d22.json",
+    "construct --x 4 --y 4 --out-graph gu.json --out-drawing du.json",
+    "construct --x 4 --y 4 --out-graph gu.json --out-drawing du.json --json",
+    "construct --x 3 --y 3 --out-graph absent/g.json --out-drawing d3.json",
+    "construct --x 3 --y 3 --out-graph g3.json --out-drawing absent/d.json --json",
+    "construct --x 3 --y 3 --out-graph g3.json --out-drawing d3.json --svg absent/f.svg",
+    "verify --drawing d.json",
+    "verify --drawing d.json --json",
+    "verify --drawing no_disk.json",
+    "verify --drawing no_disk.json --json",
+    "verify --drawing junk.json",
+    "verify --drawing junk.json --json",
+    "verify --drawing bad.json",
+    "verify --drawing bad.json --json",
+    "verify --drawing absent.json",
+    "verify --drawing huge.json --json",
+    "double --drawing d.json --out-graph dg.json --out-drawing dd.json",
+    "double --drawing dz.json --out-graph dgz.json --out-drawing ddz.json --json",
+    "double --drawing no_disk.json --out-graph nd_g.json --out-drawing nd_d.json",
+    "double --drawing absent.json --out-graph ag.json --out-drawing ad.json --json",
+    "double --drawing d.json --out-graph absent/g.json --out-drawing ddx.json",
+    "verify --drawing dd.json",
+    "verify --drawing ddz.json --json",
+    "bounds --x 3 --y 3",
+    "bounds --x 3 --y 3 --json",
+    "bounds --x 4 --y 6",
+    "bounds --x 5 --y 7 --json",
+    "bounds --x 1 --y 1",
+    "bounds --x 1 --y 1 --json",
+    "bounds --x 2 --y 1",
+    "bounds --x 2 --y 1 --json",
+    "bounds --graph g.json --drawing d.json",
+    "bounds --graph g.json --drawing d.json --json",
+    "bounds --graph g.json",
+    "bounds --graph g.json --json",
+    "bounds --graph dg.json --drawing dd.json",
+    "bounds --graph g.json --drawing dd.json --json",
+    "bounds --graph k33.json --drawing no_disk.json",
+    "bounds --x 3 --y 3 --drawing absent.json",
+    "bounds --graph g.json --x 9 --y 1",
+    "bounds --graph g.json --y 1 --json",
+    "bounds",
+    "bounds --x 3 --json",
+    "bounds --graph junk.json",
+    "bounds --graph d.json --json",
+    "search --x 2 --y 2 --out-witness w22.json",
+    "search --x 2 --y 3 --out-witness w23.json --json",
+    "search --x 1 --y 3",
+    "search --x 3 --y 3 --json",
+    "search --x 3 --y 3 --budget 1e-9",
+    "search --x 3 --y 3 --budget 1e-9 --json",
+    "search --x 2 --y 2 --out-witness absent/w.json",
+    "verify --drawing w23.json --json",
+]
+
+# Argparse words and wraps usage and help text differently across Python
+# versions, so these cases are checked by exit code and stdout alone.
+_USAGE_ERRORS = [
+    "",
+    "construct --x 3",
+    "construct --x 3 --y 3 --strategy wat --out-graph g.json --out-drawing d.json",
+    "verify",
+    "double --drawing d.json",
+    "bounds --x 0 --y 3",
+    "bounds --x 2 --y 2 --n 8",
+    "search --x 0 --y 3",
+    "search --x 2 --y 2 --budget 0",
+]
+_HELP = ["--help", *(f"{name} --help" for name in
+                     ("construct", "verify", "bounds", "double", "search"))]
+
+# Witness documents list rotations in set order; WITNESS_SHA256 in
+# test_search.py pins them instead.
+_UNPINNED_FILES = {"w22.json", "w23.json"}
+
+CLI_TRANSCRIPT_SHA256 = "58cc1c70bc7948cc8ee030a534eb26cf184e69683b44f9adb64d5a0a9421c792"
+
+
+def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    od.save_drawing(no_disk_k33_drawing(), "no_disk.json")
+    od.save_graph(k33(), "k33.json")
+    (tmp_path / "junk.json").write_text("not json at all", encoding="utf-8")
+    (tmp_path / "huge.json").write_text(json.dumps(huge_claim_document()), encoding="utf-8")
+    doc = drawing_to_document(od.construct_extremal(3, 3)[1])
+    doc["crossings"][1] = doc["crossings"][0]
+    (tmp_path / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+
+    digest = hashlib.sha256()
+    for case in _PINNED_CASES:
+        code = main(case.split())
+        captured = capsys.readouterr()
+        digest.update(repr((case, code, captured.out, captured.err)).encode())
+    for case in _USAGE_ERRORS:
+        assert main(case.split()) == 2, case
+        assert capsys.readouterr().out == "", case
+    for case in _HELP:
+        assert main(case.split()) == 0, case
+        assert capsys.readouterr().out.startswith("usage: onedisk"), case
+    for path in sorted(tmp_path.iterdir()):
+        if path.is_file() and path.name not in _UNPINNED_FILES:
+            digest.update(repr((path.name, path.read_bytes())).encode())
+    assert digest.hexdigest() == CLI_TRANSCRIPT_SHA256

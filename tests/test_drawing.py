@@ -436,6 +436,22 @@ def _add_neighbor(d, rng):
     return {"rotation": {**d.rotation, v: d.rotation[v] + (_stranger(d, rng, v),)}}
 
 
+def _float_node(d, rng):
+    # 2.0 == 2 and hashes alike, so only a type check tells them apart.
+    rotation = dict(d.rotation)
+    v = rng.randrange(d.node_count)
+    rotation[float(v)] = rotation.pop(v)
+    return {"rotation": rotation}
+
+
+def _float_neighbor(d, rng):
+    v = rng.randrange(d.node_count)
+    order = list(d.rotation[v])
+    i = rng.randrange(len(order))
+    order[i] = float(order[i])
+    return {"rotation": {**d.rotation, v: tuple(order)}}
+
+
 def _cross_adjacent(d, rng):
     e = rng.choice(d.graph.edges)
     f = rng.choice([f for f in d.graph.edges if f != e and set(f) & set(e)])
@@ -470,6 +486,8 @@ def _cross_non_pair(d, rng):
     (_drop_node, od.IncompleteRotation),
     (_misdirect_neighbor, od.IncompleteRotation),
     (_add_neighbor, od.IncompleteRotation),
+    (_float_node, od.IncompleteRotation),
+    (_float_neighbor, od.IncompleteRotation),
     (_cross_adjacent, od.AdjacentEdgesCross),
     (_unalternate, od.NonAlternatingDummy),
     (_cross_twice, od.EdgeCrossedTwice),

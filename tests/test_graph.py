@@ -49,6 +49,8 @@ def test_vertex_out_of_range_rejected():
     ([(0, 1)], od.SamePartEdge),
     ([(0, 2), (2, 0)], od.DuplicateEdge),
     ([(0, 4)], od.VertexOutOfRange),
+    ([(0, 2.5)], od.VertexOutOfRange),
+    ([(True, 2)], od.VertexOutOfRange),
 ])
 def test_direct_construction_is_checked(edges, error):
     with pytest.raises(error):
@@ -60,6 +62,14 @@ def test_direct_construction_is_checked(edges, error):
 def test_empty_part_rejected():
     with pytest.raises(od.GraphError):
         od.new_bipartite(0, 3, [])
+
+
+@pytest.mark.parametrize("x_count, y_count", [(2.0, 2), (2, True), ("2", 2)], ids=repr)
+def test_part_sizes_must_be_ints(x_count, y_count):
+    with pytest.raises(od.GraphError):
+        od.BipartiteGraph(x_count, y_count, ((0, 2),))
+    with pytest.raises(od.GraphError):
+        dataclasses.replace(od.new_bipartite(2, 2, []), x_count=x_count, y_count=y_count)
 
 
 def test_edge_normalization_and_equality():
