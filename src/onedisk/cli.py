@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import documents
-from .construct import construct_extremal, double, _parse_strategy
+from .construct import construct_extremal, double, _chords
 from .drawing import crossing_count, find_one_disk_face
 from .graph import edge_count
 from .search import BudgetExceeded, SearchLimits, max_edges_one_disk
@@ -36,7 +36,7 @@ from .svg import export_svg
 
 
 def _strategy(text: str) -> str:
-    _parse_strategy(text)
+    _chords(3, text)
     return text
 
 

@@ -14,10 +14,12 @@ the cyclic order of the polygon, each gadget is a fixed rotation template
 spliced into the corners of its triangle, and the nested vertices are
 spliced into the hull corner at vertices 0 and 1.  The part sizes are
 known before the first gadget, so every Y vertex and dummy gets its final
-id when it is made.  ``build_drawing`` then checks the result like any
-other drawing, so the staging helpers (``maximal_outerplanar``,
-``DrawingBuilder``, ``insert_b3``) guard nothing themselves and are not
-exported from the package.
+id when it is made.  The builder's state is three plain attributes,
+``rotation``, ``edges`` and ``crossings``, which the gadgets and the
+nested vertices write directly.  ``build_drawing`` then checks the
+result like any other drawing, so the staging helpers
+(``maximal_outerplanar``, ``DrawingBuilder``, ``insert_b3``) guard
+nothing themselves and are not exported from the package.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .drawing import (
     FaceWalk,
     NoOneDiskFace,
     build_drawing,
-    find_one_disk_face,
+    disk_face_index,
     rotation_faces,
 )
 from .graph import BipartiteGraph, Edge, new_bipartite
@@ -66,43 +68,26 @@ class OuterplanarSkeleton:
     triangles: tuple[FaceWalk, ...]
 
 
-def _parse_strategy(strategy: str) -> tuple[str, int | None]:
+def _chords(k: int, strategy: str) -> list[Edge]:
+    """The chords that triangulate the polygon 0..k-1 under ``strategy``.
+
+    The name is stripped and read case-blind; one that is not ``fan``,
+    ``zigzag`` or ``seed:<int>`` raises ValueError.
+    """
     s = str(strategy).strip().lower()
     if s == "fan":
-        return "fan", None
+        return [(0, i) for i in range(2, k - 1)]
     if s == "zigzag":
-        return "zigzag", None
-    if s.startswith("seed:"):
-        return "seed", int(s.split(":", 1)[1])
-    raise ValueError(f"unknown triangulation strategy {strategy!r}")
-
-
-def _fan_chords(k: int) -> list[Edge]:
-    return [(0, i) for i in range(2, k - 1)]
-
-
-def _zigzag_chords(k: int) -> list[Edge]:
-    chords: list[Edge] = []
-    lo, hi = 1, k - 1
-    advance_lo = True
-    while hi - lo >= 2:
-        chords.append((lo, hi))
-        if advance_lo:
-            lo += 1
-        else:
-            hi -= 1
-        advance_lo = not advance_lo
-    return chords
-
-
-def _seeded_chords(k: int, seed: int) -> list[Edge]:
-    rng = random.Random(seed)
+        # (1, k-1), (2, k-1), (2, k-2), (3, k-2), ...: the ends step inward in turn.
+        return [(1 + (j + 1) // 2, k - 1 - j // 2) for j in range(k - 3)]
+    if not s.startswith("seed:"):
+        raise ValueError(f"unknown triangulation strategy {strategy!r}")
+    rng = random.Random(int(s[5:]))
     poly = list(range(k))
     chords: list[Edge] = []
     while len(poly) > 3:
         i = rng.randrange(len(poly))
-        a, b = poly[i - 1], poly[(i + 1) % len(poly)]
-        chords.append((min(a, b), max(a, b)))
+        chords.append((poly[i - 1], poly[(i + 1) % len(poly)]))
         del poly[i]
     return chords
 
@@ -127,16 +112,8 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
     chords), ``seed:<n>`` (seeded random ear cutting).  All yield the same
     counts; only the triangle shapes differ.
     """
-    kind, seed = _parse_strategy(strategy)
-    if kind == "fan":
-        chords = _fan_chords(k)
-    elif kind == "zigzag":
-        chords = _zigzag_chords(k)
-    else:
-        chords = _seeded_chords(k, seed)
-
     hull = [(i, (i + 1) % k) for i in range(k)]
-    edges = sorted(tuple(sorted(e)) for e in hull + chords)
+    edges = sorted(tuple(sorted(e)) for e in hull + _chords(k, strategy))
     nbrs: dict[int, list[int]] = {i: [] for i in range(k)}
     for u, v in edges:
         nbrs[u].append(v)
@@ -192,45 +169,41 @@ class DrawingBuilder:
     Starts from the scaffold's rotation system and the final Y count, so
     every node gets its final id when it is made: Y vertices from
     ``scaffold_count`` on, the dummy of crossing i at
-    ``scaffold_count + y_count + i``.  Gadgets and nested vertices add
-    nodes with fixed rotations and splice their edges into the rotations
-    of the scaffold vertices.  Scaffold edges stay in the rotation system
-    and are dropped from the finished bipartite drawing.
+    ``scaffold_count + y_count + i``.  The state is three plain
+    attributes that gadgets and nested vertices write directly:
+    ``rotation`` (each node's cyclic order, as a list), ``edges`` and
+    ``crossings``.  New nodes get fixed rotations, and their edges are
+    spliced into the rotations of the scaffold vertices.  Scaffold edges
+    stay in ``rotation`` and are dropped from the finished bipartite
+    drawing.
     """
 
     def __init__(self, scaffold: OuterplanarSkeleton, y_count: int):
         self.scaffold_count = scaffold.vertex_count
         self.y_count = y_count
-        self._rotation: dict[int, list[int]] = {
+        self.rotation: dict[int, list[int]] = {
             v: list(order) for v, order in scaffold.rotation.items()
         }
         self._next_y = self.scaffold_count
-        self._edges: list[Edge] = []
-        self._crossings: list[tuple[Edge, Edge]] = []
+        self.edges: list[Edge] = []
+        self.crossings: list[tuple[Edge, Edge]] = []
 
     def add_y_vertex(self) -> int:
         vid = self._next_y
         self._next_y += 1
-        self._rotation[vid] = []
+        self.rotation[vid] = []
         return vid
-
-    def add_edge(self, u: int, v: int) -> Edge:
-        self._edges.append((u, v))
-        return (u, v)
 
     def add_crossing(self, edge_a: Edge, edge_b: Edge) -> int:
         """Record a crossing; returns its dummy node."""
-        dummy = self.scaffold_count + self.y_count + len(self._crossings)
-        self._crossings.append((edge_a, edge_b))
-        self._rotation[dummy] = []
+        dummy = self.scaffold_count + self.y_count + len(self.crossings)
+        self.crossings.append((edge_a, edge_b))
+        self.rotation[dummy] = []
         return dummy
-
-    def set_rotation(self, node: int, order: Sequence[int]) -> None:
-        self._rotation[node] = list(order)
 
     def splice(self, v: int, after: int, wedge: Sequence[int]) -> None:
         """Insert ``wedge`` into the rotation at ``v`` straight after ``after``."""
-        order = self._rotation[v]
+        order = self.rotation[v]
         i = order.index(after) + 1
         order[i:i] = wedge
 
@@ -239,13 +212,13 @@ class DrawingBuilder:
         x = self.scaffold_count
         return {
             v: tuple(u for u in order if not (v < x and u < x))
-            for v, order in self._rotation.items()
+            for v, order in self.rotation.items()
         }
 
     def finish(self) -> tuple[BipartiteGraph, Drawing]:
         """Drop the scaffold edges and assemble the validated drawing."""
-        g = new_bipartite(self.scaffold_count, self.y_count, self._edges)
-        return g, build_drawing(g, self._crossings, self.derive_rotation())
+        g = new_bipartite(self.scaffold_count, self.y_count, self.edges)
+        return g, build_drawing(g, self.crossings, self.derive_rotation())
 
 
 def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
@@ -257,19 +230,15 @@ def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
     """
     corners = triangle.nodes
     interior = tuple(builder.add_y_vertex() for _ in range(3))
-    edge_of: dict[tuple[int, int], Edge] = {}
-    for bi, b in enumerate(interior):
-        for ci, c in enumerate(corners):
-            edge_of[(bi, ci)] = builder.add_edge(c, b)
-    dummies = [
-        builder.add_crossing(edge_of[a], edge_of[b]) for a, b in _GADGET_CROSSING_PAIRS
-    ]
+    builder.edges += [(c, b) for b in interior for c in corners]
+    dummies = tuple(
+        builder.add_crossing((corners[ca], interior[ba]), (corners[cb], interior[bb]))
+        for (ba, ca), (bb, cb) in _GADGET_CROSSING_PAIRS
+    )
 
-    ids = {}
-    for i in range(3):
-        ids[f"c{i}"], ids[f"b{i}"], ids[f"d{i}"] = corners[i], interior[i], dummies[i]
+    ids = dict(zip("c0 c1 c2 b0 b1 b2 d0 d1 d2".split(), corners + interior + dummies))
     for name, order in _GADGET_ROTATIONS.items():
-        builder.set_rotation(ids[name], [ids[t] for t in order.split()])
+        builder.rotation[ids[name]] = [ids[t] for t in order.split()]
     for i, wedge in enumerate(_GADGET_WEDGES):
         builder.splice(corners[i], corners[i - 1], [ids[t] for t in wedge.split()])
 
@@ -296,13 +265,9 @@ def _attach_nested_pair(builder: DrawingBuilder, count: int) -> None:
     so their edges neither cross anything nor block any hull vertex from
     the unbounded face.
     """
-    added = []
-    for _ in range(count):
-        w = builder.add_y_vertex()
-        builder.add_edge(0, w)
-        builder.add_edge(1, w)
-        builder.set_rotation(w, (0, 1))
-        added.append(w)
+    added = [builder.add_y_vertex() for _ in range(count)]
+    builder.edges += [(v, w) for w in added for v in (0, 1)]
+    builder.rotation.update((w, [0, 1]) for w in added)
     builder.splice(0, builder.scaffold_count - 1, added[::-1])
     builder.splice(1, 0, added)
 
@@ -350,14 +315,19 @@ class DoublingResult:
     drawing_star: Drawing
 
 
-def _disk_gaps(walk: FaceWalk, x_count: int) -> dict[int, tuple[int, int]]:
-    """Neighbors (p, q) bounding the first visit of the walk at each X vertex
-    it visits, found in one pass over the walk."""
-    steps = walk.steps
-    gaps: dict[int, tuple[int, int]] = {}
-    for j, (p, v) in enumerate(steps):
+def _disk_gaps(cycle: tuple[int, ...], x_count: int) -> dict[int, int]:
+    """Each X vertex on the face's node cycle mapped to the node after its
+    first visit, in one pass.
+
+    Visits are taken in the order the face's steps enter them.  The first
+    step, cycle[0] -> cycle[1], enters cycle[1], so a visit at cycle[0]
+    counts last.
+    """
+    ring = cycle[1:] + cycle[:2]
+    gaps: dict[int, int] = {}
+    for v, q in zip(ring, ring[1:]):
         if v < x_count and v not in gaps:
-            gaps[v] = (p, steps[(j + 1) % len(steps)][1])
+            gaps[v] = q
     return gaps
 
 
@@ -370,11 +340,11 @@ def double(d: Drawing) -> DoublingResult:
     result is a 1-planar drawing of a bipartite graph on X and the two Y
     copies with twice the edges.
     """
-    disk = find_one_disk_face(d)
-    if disk is None:
-        raise NoOneDiskFace("drawing has no face incident to every X vertex")
     g = d.graph
     x, y, c = g.x_count, g.y_count, len(d.crossings)
+    disk = disk_face_index(d._faces, x)
+    if disk is None:
+        raise NoOneDiskFace("drawing has no face incident to every X vertex")
     n = x + y
     star_n = x + 2 * y
 
@@ -401,11 +371,10 @@ def double(d: Drawing) -> DoublingResult:
     for v in range(x, n + c):
         rot[keep(v)] = tuple(keep(w) for w in d.rotation[v])
         rot[mirror(v)] = tuple(mirror(w) for w in reversed(d.rotation[v]))
-    gaps = _disk_gaps(disk, x)
+    gaps = _disk_gaps(d._faces[disk], x)
     for v in range(x):
-        _, q = gaps[v]
         r = d.rotation[v]
-        i = r.index(q)
+        i = r.index(gaps[v])
         linear = r[i:] + r[:i]
         rot[v] = tuple(keep(w) for w in linear) + tuple(
             mirror(w) for w in reversed(linear)

@@ -249,8 +249,15 @@ class Drawing:
 
 
 def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ...]:
-    """The crossings in normal form; raises on a missing edge, then on
-    AdjacentEdgesCross, then on EdgeCrossedTwice."""
+    """The crossings in normal form; raises DrawingError on an endpoint
+    that is not an int (bools included), then on a missing edge, then
+    AdjacentEdgesCross, then EdgeCrossedTwice."""
+    crossings = [*crossings]
+    ends = chain.from_iterable(chain.from_iterable(crossings))
+    if not {*map(type, ends)} <= {int}:
+        i, c = next((i, c) for i, c in enumerate(crossings)
+                    if not {*map(type, chain.from_iterable(c))} <= {int})
+        raise DrawingError(f"crossing {i} has a non-int endpoint: {c}")
     edge_set = set(graph.edges)
     out: list[Crossing] = []
     for i, (ea, eb) in enumerate(crossings):

@@ -88,9 +88,17 @@ def test_skeleton_rotation_starts_past_the_half_turn():
     assert order[0] == 14 and order[-1] == 13
 
 
-def test_unknown_strategy():
+@pytest.mark.parametrize("strategy", ["spiral", "seed:", "seed:x", "fan:1", ""])
+def test_unknown_strategy(strategy):
     with pytest.raises(ValueError):
-        maximal_outerplanar(5, "spiral")
+        maximal_outerplanar(5, strategy)
+
+
+@pytest.mark.parametrize("spelled, canonical", [
+    (" Fan ", "fan"), ("ZIGZAG", "zigzag"), ("Seed:7", "seed:7"),
+])
+def test_strategy_spelling_is_normalized(spelled, canonical):
+    assert maximal_outerplanar(9, spelled) == maximal_outerplanar(9, canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +277,31 @@ def test_double_mirror_preserves_alternation():
         assert slots in ({0, 2}, {1, 3})
 
 
-def _disk_gap_reference(walk, v):
-    """The per-vertex scan ``double`` used before: O(|walk|) for each X vertex."""
-    steps = walk.steps
-    for j, (_, b) in enumerate(steps):
-        if b == v:
-            nxt = steps[(j + 1) % len(steps)]
-            return steps[j][0], nxt[1]
+def _disk_gap_reference(cycle, v):
+    """The per-vertex scan ``double`` used before: O(|cycle|) for each X vertex.
+
+    It reads the face's steps (cycle[j], cycle[j + 1]) from j = 0 on and
+    stops at the first that enters v.
+    """
+    n = len(cycle)
+    for j in range(n):
+        if cycle[(j + 1) % n] == v:
+            return cycle[(j + 2) % n]
     raise od.NoOneDiskFace(f"X vertex {v} does not lie on the disk face")
+
+
+def _reference_gaps(cycle, x_count):
+    return {v: _disk_gap_reference(cycle, v) for v in range(x_count)}
 
 
 @pytest.mark.parametrize("strategy", ["fan", "zigzag", "seed:7"])
 @pytest.mark.parametrize("x", [26, 52, 100, 300])
 def test_disk_gaps_match_per_vertex_scan(x, strategy, monkeypatch):
     _, d = od.construct_extremal(x, 3 * (x - 2), strategy)
-    disk = od.find_one_disk_face(d)
-    reference = {v: _disk_gap_reference(disk, v) for v in range(x)}
-    assert construct_mod._disk_gaps(disk, x) == reference
+    cycle = od.find_one_disk_face(d).nodes
+    assert construct_mod._disk_gaps(cycle, x) == _reference_gaps(cycle, x)
     fast = od.double(d)
-    monkeypatch.setattr(
-        construct_mod, "_disk_gaps",
-        lambda walk, x_count: {v: _disk_gap_reference(walk, v) for v in range(x_count)},
-    )
+    monkeypatch.setattr(construct_mod, "_disk_gaps", _reference_gaps)
     assert od.double(d) == fast
 
 
@@ -299,13 +310,9 @@ def test_disk_gaps_take_the_first_of_repeated_visits(monkeypatch):
     # pendant passes 0 twice, once on each side of edge (0, 4).
     g = od.new_bipartite(2, 3, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
     d = od.build_drawing(g, [], {0: (2, 3, 4), 1: (3, 2), 2: (0, 1), 3: (0, 1), 4: (0,)})
-    disk = od.find_one_disk_face(d)
-    assert disk.nodes.count(0) == 2
-    reference = {v: _disk_gap_reference(disk, v) for v in range(2)}
-    assert construct_mod._disk_gaps(disk, 2) == reference
+    cycle = od.find_one_disk_face(d).nodes
+    assert cycle.count(0) == 2
+    assert construct_mod._disk_gaps(cycle, 2) == _reference_gaps(cycle, 2)
     fast = od.double(d)
-    monkeypatch.setattr(
-        construct_mod, "_disk_gaps",
-        lambda walk, x_count: {v: _disk_gap_reference(walk, v) for v in range(x_count)},
-    )
+    monkeypatch.setattr(construct_mod, "_disk_gaps", _reference_gaps)
     assert od.double(d) == fast

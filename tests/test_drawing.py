@@ -481,6 +481,21 @@ def _cross_non_pair(d, rng):
     return {"crossings": d.crossings + ((e + f[:1], f),)}
 
 
+def _float_crossing(d, rng):
+    # (0.0, 3.0) == (0, 3), so the edge lookup alone lets floats through.
+    i = rng.randrange(len(d.crossings))
+    ea, eb = d.crossings[i]
+    bad = (tuple(map(float, ea)), eb)
+    return {"crossings": d.crossings[:i] + (bad,) + d.crossings[i + 1:]}
+
+
+def _bool_crossing(d, rng):
+    # True == 1: the graph's edge (1, v) crossed as (True, v).
+    i, c = rng.choice([(i, c) for i, c in enumerate(d.crossings) if 1 in c.edge_a + c.edge_b])
+    ea, eb = (tuple(True if u == 1 else u for u in e) for e in c)
+    return {"crossings": d.crossings[:i] + ((ea, eb),) + d.crossings[i + 1:]}
+
+
 @pytest.mark.parametrize("corrupt, error", [
     (_drop_neighbor, od.IncompleteRotation),
     (_drop_node, od.IncompleteRotation),
@@ -493,6 +508,8 @@ def _cross_non_pair(d, rng):
     (_cross_twice, od.EdgeCrossedTwice),
     (_cross_missing_edge, od.DrawingError),
     (_cross_non_pair, od.DrawingError),
+    (_float_crossing, od.DrawingError),
+    (_bool_crossing, od.DrawingError),
 ], ids=lambda p: getattr(p, "__name__", None))
 def test_single_field_corruption_raises_its_invariant(corrupt, error):
     rng = random.Random(corrupt.__name__)
