@@ -36,7 +36,11 @@ from .svg import export_svg
 
 
 def _strategy(text: str) -> str:
-    _chords(3, text)
+    try:
+        _chords(3, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected fan, zigzag or seed:<int>, got {text!r}") from None
     return text
 
 

@@ -25,14 +25,26 @@ one face; an apex placed in that face and joined to each X vertex adds
 no crossing.  So when the apex planarization is non-planar no drawing
 has crossing set C.
 
-*Counting bound.*  If the apex planarization of (G, C) is planar, then
-c >= m - x - 2y + 2.  In a plane embedding of it, delete at each dummy
-the two segments of one of its edges and smooth the dummy away.  What
-is left is a plane drawing of G minus one edge per crossing, plus the
-apex: a simple bipartite graph, with the apex on the Y side since it
-is joined to X only, on x + y + 1 >= 3 nodes with m - c + x edges.  So
-m - c + x <= 2(x + y + 1) - 4.  Sets below this size are never listed;
-by the first fact they hold no witness.
+*Triangle-face bound.*  Let H be the apex planarization of a connected
+G with crossing set C.  It has V = x + y + c + 1 nodes and
+E = m + 2c + x edges: each crossed edge is two segments, and the apex
+has x.  H is simple and has no X-X, Y-Y, dummy-dummy, apex-Y or
+apex-dummy edges, so a triangular face of a plane embedding of H is
+x, d, y for a dummy d and an uncrossed edge xy.  The neighbours of d
+are the four distinct ends of its crossing edges x_a y_a and x_b y_b,
+which are not edges of H, so xy is one of d's two *diagonals*, x_a y_b
+or x_b y_a, and the face passes through the angle at d between x and
+y.  In any rotation at d the two ends of a diagonal share at most one
+angle, and each angle lies on one face.  So the number t of triangular
+faces is at most D(C), the number of diagonals, over all crossings of
+C, that are edges of G and are not crossed in C.  H is connected with
+at least 3 nodes, so every face has length at least 3; with F faces,
+2E >= 3t + 4(F - t), and Euler's formula gives F = E - V + 2.
+Together, t >= 2E - 4V + 8 = 2(m - x - 2y + 2), in which c cancels.
+So H is planar only if D(C) >= need := 2(m - x - 2y + 2), and a set
+with fewer free diagonals is skipped without building H.  As
+D(C) <= 2c, no set with c < need / 2 passes, so sets below that size
+are never listed.  By the first fact, skipped sets hold no witness.
 
 *The first planar set yields a witness.*  Let k be the least size of a
 crossing set whose apex planarization is planar, and C such a set.  In
@@ -44,8 +56,9 @@ planar set of size k - 1, against the choice of k.  So every dummy
 alternates.  Deleting the apex merges the faces around it into one face
 that touches every X vertex, so the embedding restricted to the
 planarization is a 1-disk drawing with crossing set C.  Sizes ascend,
-so the first set found planar has size k, and a "no" answer costs one
-planarity test per crossing set.
+and the triangle-face bound skips only non-planar sets, so the first
+set found planar has size k, and a "no" answer costs one planarity test
+per crossing set that the bound lets through.
 
 *Apex planarizations meet the contract of the planarity routine.*
 ``plane_rotation`` takes only graphs whose peel-and-suppress reduction
@@ -136,7 +149,11 @@ def _matchings(edges: tuple[Edge, ...], smallest: int = 0):
     """All sets of at least ``smallest`` pairwise disjoint pairs of
     independent edges, as index pairs (i, j) with i < j, by size and then
     lexicographically.  Edges are (x, y) pairs, so two are independent when
-    both ends differ."""
+    both ends differ.  The empty set comes before the pairs are listed,
+    since most graphs are decided by it."""
+    if smallest == 0:
+        yield ()
+        smallest = 1
     pairs = [(i, j) for i, j in combinations(range(len(edges)), 2)
              if edges[i][0] != edges[j][0] and edges[i][1] != edges[j][1]]
 
@@ -151,6 +168,26 @@ def _matchings(edges: tuple[Edge, ...], smallest: int = 0):
 
     for size in range(smallest, len(edges) // 2 + 1):
         yield from extend((), 0, frozenset(), size)
+
+
+def _need(g: BipartiteGraph) -> int:
+    """need of the module doc: 2(m - x - 2y + 2), the fewest triangular
+    faces of a plane embedding of any apex planarization of ``g``."""
+    return 2 * (len(g.edges) - g.x_count - 2 * g.y_count + 2)
+
+
+def _free_diagonals(edges: tuple[Edge, ...], index: dict[Edge, int], matching) -> int:
+    """D(C) of the module doc: the diagonals x_a y_b and x_b y_a of each
+    crossing (x_a y_a, x_b y_b) that are edges and are not crossed."""
+    used = {k for pair in matching for k in pair}
+    free = 0
+    for i, j in matching:
+        (xa, ya), (xb, yb) = edges[i], edges[j]
+        for diagonal in ((xa, yb), (xb, ya)):
+            k = index.get(diagonal)
+            if k is not None and k not in used:
+                free += 1
+    return free
 
 
 def _is_connected(g: BipartiteGraph) -> bool:
@@ -171,12 +208,16 @@ def _decide_drawable(
     """The witness of the first crossing set whose apex planarization is
     planar, or None when no set is; BudgetExceeded when the deadline passes."""
     edges = g.edges
-    # The counting bound of the module doc: smaller sets hold no witness.
-    smallest = max(0, len(edges) - g.x_count - 2 * g.y_count + 2)
+    # A set with fewer than ``need`` free diagonals, and so any set below
+    # need // 2, is non-planar.
+    need = _need(g)
+    index = {e: k for k, e in enumerate(edges)} if need > 0 else None
 
-    for matching in _matchings(edges, smallest):
+    for matching in _matchings(edges, max(0, need // 2)):
         if time.monotonic() > deadline:
             raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
+        if index is not None and _free_diagonals(edges, index, matching) < need:
+            continue
         # Edges are sorted pairs and i < j, so these are in normal form.
         crossings = tuple([Crossing(edges[i], edges[j]) for i, j in matching])
         adj = _planarization_adjacency(g, crossings)

@@ -28,7 +28,8 @@ _STYLE = (
 )
 
 
-def _layout(d: Drawing) -> dict[int, tuple[float, float]]:
+def _layout(d: Drawing) -> tuple[list[float], list[float]]:
+    """The x and y coordinates of every planarization node, by node id."""
     disk = find_one_disk_face(d)
     if disk is None:
         raise NoOneDiskFace("cannot lay out a drawing without a face touching all X")
@@ -39,24 +40,32 @@ def _layout(d: Drawing) -> dict[int, tuple[float, float]]:
 
     center = _SIZE / 2.0
     radius = _SIZE / 2.0 - _MARGIN
-    pos: dict[int, tuple[float, float]] = {}
+    px = [center] * len(d.rotation)
+    py = [center] * len(d.rotation)
     for slot, v in enumerate(boundary):
         angle = -math.pi / 2.0 + 2.0 * math.pi * slot / len(boundary)
-        pos[v] = (center + radius * math.cos(angle), center + radius * math.sin(angle))
-    interior = [v for v in d.rotation if v not in pos]
-    for v in interior:
-        pos[v] = (center, center)
+        px[v] = center + radius * math.cos(angle)
+        py[v] = center + radius * math.sin(angle)
+    on_circle = set(boundary)
     # The summation order fixes the output bytes: left to right from 0.
-    moving = [(v, d.rotation[v]) for v in interior if d.rotation[v]]
+    moving = [(v, nbrs) for v, nbrs in d.rotation.items() if v not in on_circle and nbrs]
+    # A sweep that moves nothing is a fixpoint: every later sweep would
+    # repeat the same float operations on the same inputs.
     for _ in range(_ITERATIONS):
+        moved = False
         for v, nbrs in moving:
             sx = sy = 0
             for u in nbrs:
-                px, py = pos[u]
-                sx += px
-                sy += py
-            pos[v] = (sx / len(nbrs), sy / len(nbrs))
-    return pos
+                sx += px[u]
+                sy += py[u]
+            nx, ny = sx / len(nbrs), sy / len(nbrs)
+            if nx != px[v] or ny != py[v]:
+                moved = True
+            px[v] = nx
+            py[v] = ny
+        if not moved:
+            break
+    return px, py
 
 
 def export_svg(d: Drawing, path) -> None:
@@ -68,7 +77,7 @@ def export_svg(d: Drawing, path) -> None:
     points with no marker.  Raises NoOneDiskFace when the drawing has no
     face incident to every X vertex.
     """
-    pos = _layout(d)
+    px, py = _layout(d)
     crossed = d.crossed_edges()
 
     parts = [
@@ -78,20 +87,17 @@ def export_svg(d: Drawing, path) -> None:
     ]
     for e in d.graph.edges:
         u, v = e
-        ux, uy = pos[u]
-        vx, vy = pos[v]
         if e in crossed:
-            dx, dy = pos[crossed[e]]
-            data = f"M {ux:.2f} {uy:.2f} L {dx:.2f} {dy:.2f} L {vx:.2f} {vy:.2f}"
+            c = crossed[e]
+            data = (f"M {px[u]:.2f} {py[u]:.2f} L {px[c]:.2f} {py[c]:.2f} "
+                    f"L {px[v]:.2f} {py[v]:.2f}")
         else:
-            data = f"M {ux:.2f} {uy:.2f} L {vx:.2f} {vy:.2f}"
+            data = f"M {px[u]:.2f} {py[u]:.2f} L {px[v]:.2f} {py[v]:.2f}"
         parts.append(f'  <path class="edge" d="{data}" />')
     for v in d.graph.x_vertices:
-        px, py = pos[v]
-        parts.append(f'  <circle class="x-vertex" cx="{px:.2f}" cy="{py:.2f}" r="7" />')
-        parts.append(f'  <text x="{px + 9:.2f}" y="{py - 9:.2f}">{v}</text>')
+        parts.append(f'  <circle class="x-vertex" cx="{px[v]:.2f}" cy="{py[v]:.2f}" r="7" />')
+        parts.append(f'  <text x="{px[v] + 9:.2f}" y="{py[v] - 9:.2f}">{v}</text>')
     for v in d.graph.y_vertices:
-        px, py = pos[v]
-        parts.append(f'  <circle class="y-vertex" cx="{px:.2f}" cy="{py:.2f}" r="5" />')
+        parts.append(f'  <circle class="y-vertex" cx="{px[v]:.2f}" cy="{py[v]:.2f}" r="5" />')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

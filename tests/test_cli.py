@@ -50,10 +50,16 @@ def test_construct_uncovered_regime_fails(tmp_path, capsys):
 
 
 def test_bad_strategy_is_usage_error(tmp_path, capsys):
-    rc = main(["construct", "--x", "3", "--y", "3", "--strategy", "wat",
-               "--out-graph", str(tmp_path / "g.json"),
-               "--out-drawing", str(tmp_path / "d.json")])
-    assert rc == 2
+    for strategy in ("wat", "seed:x"):
+        rc = main(["construct", "--x", "3", "--y", "3", "--strategy", strategy,
+                   "--out-graph", str(tmp_path / "g.json"),
+                   "--out-drawing", str(tmp_path / "d.json")])
+        assert rc == 2
+        # The message names the accepted spellings, not the private validator.
+        err = capsys.readouterr().err
+        assert "fan, zigzag or seed:<int>" in err
+        assert repr(strategy) in err
+        assert "_strategy" not in err
 
 
 def test_verify_failing_drawing(tmp_path, capsys):

@@ -120,9 +120,10 @@ def test_k34_has_no_disk_drawing():
 
 def _reference_first_witness(g: od.BipartiteGraph) -> od.Drawing | None:
     """The reference's witness on the first crossing set, by size and then
-    lexicographically, that carries one; None when none does.  Sets below
-    the counting bound of onedisk.search's module docstring are skipped:
-    that bound is proved without any planarity test."""
+    lexicographically, that carries one; None when none does.  Sets of
+    fewer than m - x - 2y + 2 crossings are skipped: the triangle-face
+    bound of onedisk.search's module docstring excludes them without any
+    planarity test."""
     smallest = max(0, len(g.edges) - g.x_count - 2 * g.y_count + 2)
     for matching in search._matchings(g.edges, smallest):
         crossings = _normalize_crossings(
@@ -205,6 +206,85 @@ def test_counting_bound_skips_no_planar_set():
         for g in connected_classes(x, y):
             smallest = max(0, len(g.edges) - x - 2 * y + 2)
             assert min(len(c) for c in _passing(g)) >= smallest, g.edges
+
+
+def _reference_free_diagonals(g: od.BipartiteGraph, matching) -> int:
+    """D(C) by its definition in onedisk.search's module docstring: over
+    all crossings, the diagonals that are edges of g and are not crossed."""
+    crossed = {g.edges[k] for pair in matching for k in pair}
+    uncrossed = set(g.edges) - crossed
+    count = 0
+    for i, j in matching:
+        (xa, ya), (xb, yb) = g.edges[i], g.edges[j]
+        count += ((xa, yb) in uncrossed) + ((xb, ya) in uncrossed)
+    return count
+
+
+def _check_triangle_bound(sizes, embed) -> tuple[int, int, int]:
+    """Check the triangle-face bound on every crossing set of every
+    connected class of ``sizes``: a set with fewer than need free diagonals
+    has no embedding, and an embedded set has need <= t <= D(C), where t
+    counts its triangular faces; need <= t is attained.  ``embed`` maps an
+    apex planarization to a rotation system or None.  Returns the numbers
+    of sets, of sets the bound skips and of planar sets."""
+    total = skipped = planar = 0
+    least_slack = math.inf
+    for x, y in sizes:
+        for g in connected_classes(x, y):
+            need = search._need(g)
+            index = {e: k for k, e in enumerate(g.edges)}
+            for matching in search._matchings(g.edges):
+                total += 1
+                free = search._free_diagonals(g.edges, index, matching)
+                assert free == _reference_free_diagonals(g, matching), matching
+                rotation = embed(apex_planarization(g, matching))
+                if free < need:
+                    assert rotation is None, (g.edges, matching)
+                    skipped += 1
+                elif rotation is not None:
+                    planar += 1
+                    t = sum(len(face) == 3 for face in od.rotation_faces(rotation))
+                    assert need <= t <= free, (g.edges, matching)
+                    least_slack = min(least_slack, t - need)
+    # Some embedding has exactly need triangles, so a smaller need would
+    # fail here and a larger one above.
+    assert least_slack == 0
+    return total, skipped, planar
+
+
+def test_triangle_face_bound_holds_on_every_crossing_set():
+    assert _check_triangle_bound(SIZES_UP_TO_3_3, plane_rotation) == (847, 394, 240)
+
+
+@pytest.mark.slow
+def test_networkx_confirms_the_triangle_face_bound():
+    # The same check with networkx's planarity test and embedding, on every
+    # connected class up to (3, 4) and (2, 6).
+    nx = pytest.importorskip("networkx")
+
+    def embed(adj):
+        planar, embedding = nx.check_planarity(
+            nx.Graph([(v, u) for v in adj for u in adj[v]]))
+        return {v: list(embedding.neighbors_cw_order(v)) for v in embedding} if planar else None
+
+    sizes = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (2, 5),
+             (3, 3), (3, 4), (2, 6)]
+    assert _check_triangle_bound(sizes, embed) == (37371, 16770, 12718)
+
+
+def test_k34_refutation_makes_312_planarity_calls(monkeypatch):
+    # The bound lets 312 of K3,4's 11,896 crossing sets through to the
+    # planarity test; the counting bound alone let 11,409 through.
+    calls = []
+    real = search.plane_rotation
+
+    def counting(adj):
+        calls.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(search, "plane_rotation", counting)
+    assert od.is_one_disk_drawable(_k34()) is None
+    assert len(calls) == 312
 
 
 def test_max_edges_never_below_construction():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import onedisk as od
+from onedisk import svg
 
 from conftest import no_disk_k33_drawing
 
@@ -80,3 +82,44 @@ def test_construct_grid_figures_are_byte_identical(tmp_path):
                 count += 1
     assert count == 132
     assert digest.hexdigest() == SVG_GOLDEN_SHA256
+
+
+def _reference_layout(d: od.Drawing) -> dict[int, tuple[float, float]]:
+    """The layout with all 300 barycentric sweeps and no fixpoint test, in
+    the summation order the figures depend on."""
+    disk = od.find_one_disk_face(d)
+    boundary: list[int] = []
+    for node in disk.nodes:
+        if node < d.graph.x_count and node not in boundary:
+            boundary.append(node)
+    center = svg._SIZE / 2.0
+    radius = svg._SIZE / 2.0 - svg._MARGIN
+    pos = {}
+    for slot, v in enumerate(boundary):
+        angle = -math.pi / 2.0 + 2.0 * math.pi * slot / len(boundary)
+        pos[v] = (center + radius * math.cos(angle), center + radius * math.sin(angle))
+    interior = [v for v in d.rotation if v not in pos]
+    for v in interior:
+        pos[v] = (center, center)
+    moving = [(v, d.rotation[v]) for v in interior if d.rotation[v]]
+    for _ in range(300):
+        for v, nbrs in moving:
+            sx = sy = 0
+            for u in nbrs:
+                px, py = pos[u]
+                sx += px
+                sy += py
+            pos[v] = (sx / len(nbrs), sy / len(nbrs))
+    return pos
+
+
+@pytest.mark.parametrize("x", [16, 24, 40])
+@pytest.mark.parametrize("strategy", ["fan", "zigzag", "seed:5"])
+def test_layout_stops_at_the_300_sweep_positions(x, strategy):
+    # Beyond the golden grid: stopping at the first sweep that moves no
+    # node leaves every position equal to the one 300 sweeps reach.
+    _, d = od.construct_extremal(x, 3 * (x - 2), strategy)
+    px, py = svg._layout(d)
+    reference = _reference_layout(d)
+    assert len(px) == len(py) == len(reference)
+    assert all((px[v], py[v]) == reference[v] for v in reference)
