@@ -35,16 +35,25 @@ are the four distinct ends of its crossing edges x_a y_a and x_b y_b,
 which are not edges of H, so xy is one of d's two *diagonals*, x_a y_b
 or x_b y_a, and the face passes through the angle at d between x and
 y.  In any rotation at d the two ends of a diagonal share at most one
-angle, and each angle lies on one face.  So the number t of triangular
-faces is at most D(C), the number of diagonals, over all crossings of
-C, that are edges of G and are not crossed in C.  H is connected with
-at least 3 nodes, so every face has length at least 3; with F faces,
+angle, and each angle lies on one face, so at most one triangular face
+runs through d along xy.  Such a face also uses one side of xy, an edge
+has two sides, and each side lies on one face.  So the number t of
+triangular faces is at most D'(C), the sum of min(2, mult(e)) over the
+edges e of G that are not crossed in C, where mult(e) counts the
+crossings of C that have e as a diagonal.  H is connected with at least
+3 nodes, so every face has length at least 3; with F faces,
 2E >= 3t + 4(F - t), and Euler's formula gives F = E - V + 2.
 Together, t >= 2E - 4V + 8 = 2(m - x - 2y + 2), in which c cancels.
-So H is planar only if D(C) >= need := 2(m - x - 2y + 2), and a set
-with fewer free diagonals is skipped without building H.  As
-D(C) <= 2c, no set with c < need / 2 passes, so sets below that size
-are never listed.  By the first fact, skipped sets hold no witness.
+So H is planar only if D'(C) >= need := 2(m - x - 2y + 2).
+
+*The prune.*  Adding a crossing to a set crosses two edges, which only
+removes terms from D', and adds two diagonals, each raising one term by
+at most 1.  Only m - 2s edges are uncrossed in a set of size s, and each
+term is at most 2.  So every set of size s that extends a partial set P
+has D' at most min(D'(P) + 2(s - |P|), 2(m - 2s)), and P is dropped,
+with all those sets, when that is below need.  At |P| = s the rule
+reads D'(P) < need, so exactly the sets with D' >= need are listed, and
+by the first fact the dropped ones hold no witness.
 
 *The first planar set yields a witness.*  Let k be the least size of a
 crossing set whose apex planarization is planar, and C such a set.  In
@@ -145,49 +154,61 @@ def _out_of_time(limits: SearchLimits, doing: str) -> BudgetExceeded:
 # ---------------------------------------------------------------------------
 
 
-def _matchings(edges: tuple[Edge, ...], smallest: int = 0):
-    """All sets of at least ``smallest`` pairwise disjoint pairs of
-    independent edges, as index pairs (i, j) with i < j, by size and then
-    lexicographically.  Edges are (x, y) pairs, so two are independent when
-    both ends differ.  The empty set comes before the pairs are listed,
-    since most graphs are decided by it."""
-    if smallest == 0:
-        yield ()
-        smallest = 1
-    pairs = [(i, j) for i, j in combinations(range(len(edges)), 2)
-             if edges[i][0] != edges[j][0] and edges[i][1] != edges[j][1]]
+def _crossing_sets(g: BipartiteGraph, limits: SearchLimits, deadline: float):
+    """The crossing sets of ``g`` with D' >= need (module doc), as tuples of
+    crossings in normal form, by size and then lexicographically in the
+    indices of their edges.
 
-    def extend(chosen: tuple, start: int, used: frozenset, size: int):
-        if len(chosen) == size:
+    Edges are (x, y) pairs, so two are independent when both ends differ.
+    D' is kept as crossings are pushed and popped, and a partial set is
+    dropped by the prune rule of the module doc before it is extended.  The
+    clock is read at each partial set that is extended, since a pruned walk
+    can run long without yielding.  The empty set comes before the pairs
+    are listed, since most graphs are decided by it.
+    """
+    m = len(g.edges)
+    need = 2 * (m - g.x_count - 2 * g.y_count + 2)
+
+    def extend(start: int, left: int, free: int, chosen: tuple):
+        # ``chosen`` has D' = free and passes the prune with ``left`` pairs to go.
+        if time.monotonic() > deadline:
+            raise _out_of_time(limits, f"while testing {m}-edge graph")
+        if not left:
             yield chosen
             return
-        for k in range(start, len(pairs)):
-            i, j = pairs[k]
-            if i not in used and j not in used:
-                yield from extend(chosen + ((i, j),), k + 1, used | {i, j}, size)
+        for k, (i, j, a, b, crossing) in enumerate(pairs[start:], start):
+            if crossed[i] or crossed[j]:
+                continue
+            # Edges i and j lose their terms min(2, mult); a and b each
+            # gain a side if uncrossed and not yet at two.
+            sides = (free - term[mult[i]] - term[mult[j]]
+                     + (not crossed[a] and mult[a] < 2) + (not crossed[b] and mult[b] < 2))
+            if sides + 2 * (left - 1) < need:
+                continue
+            crossed[i] = crossed[j] = True
+            mult[a] += 1
+            mult[b] += 1
+            yield from extend(k + 1, left - 1, sides, (*chosen, crossing))
+            mult[a] -= 1
+            mult[b] -= 1
+            crossed[i] = crossed[j] = False
 
-    for size in range(smallest, len(edges) // 2 + 1):
-        yield from extend((), 0, frozenset(), size)
-
-
-def _need(g: BipartiteGraph) -> int:
-    """need of the module doc: 2(m - x - 2y + 2), the fewest triangular
-    faces of a plane embedding of any apex planarization of ``g``."""
-    return 2 * (len(g.edges) - g.x_count - 2 * g.y_count + 2)
-
-
-def _free_diagonals(edges: tuple[Edge, ...], index: dict[Edge, int], matching) -> int:
-    """D(C) of the module doc: the diagonals x_a y_b and x_b y_a of each
-    crossing (x_a y_a, x_b y_b) that are edges and are not crossed."""
-    used = {k for pair in matching for k in pair}
-    free = 0
-    for i, j in matching:
-        (xa, ya), (xb, yb) = edges[i], edges[j]
-        for diagonal in ((xa, yb), (xb, ya)):
-            k = index.get(diagonal)
-            if k is not None and k not in used:
-                free += 1
-    return free
+    if need <= 0:
+        yield from extend(0, 0, 0, ())
+    index = {e: k for k, e in enumerate(g.edges)}
+    # Each crossing (edges i < j, sorted pairs, so in normal form) with the
+    # indices of its diagonals x_a y_b and x_b y_a; m stands for a diagonal
+    # that is not an edge, and counts as crossed.
+    pairs = [(i, j, index.get((xa, yb), m), index.get((xb, ya), m), Crossing((xa, ya), (xb, yb)))
+             for (i, (xa, ya)), (j, (xb, yb)) in combinations(enumerate(g.edges), 2)
+             if xa != xb and ya != yb]
+    mult = [0] * (m + 1)
+    term = [0, 1] + [2] * m
+    crossed = [False] * m + [True]
+    for size in range(1, m // 2 + 1):
+        # The prune at the empty partial set, whose D' is 0.
+        if min(2 * size, 2 * (m - 2 * size)) >= need:
+            yield from extend(0, size, 0, ())
 
 
 def _is_connected(g: BipartiteGraph) -> bool:
@@ -205,21 +226,11 @@ _APEX = -1
 def _decide_drawable(
     g: BipartiteGraph, limits: SearchLimits, deadline: float
 ) -> Drawing | None:
-    """The witness of the first crossing set whose apex planarization is
-    planar, or None when no set is; BudgetExceeded when the deadline passes."""
-    edges = g.edges
-    # A set with fewer than ``need`` free diagonals, and so any set below
-    # need // 2, is non-planar.
-    need = _need(g)
-    index = {e: k for k, e in enumerate(edges)} if need > 0 else None
-
-    for matching in _matchings(edges, max(0, need // 2)):
-        if time.monotonic() > deadline:
-            raise _out_of_time(limits, f"while testing {len(edges)}-edge graph")
-        if index is not None and _free_diagonals(edges, index, matching) < need:
-            continue
-        # Edges are sorted pairs and i < j, so these are in normal form.
-        crossings = tuple([Crossing(edges[i], edges[j]) for i, j in matching])
+    """The witness of the first crossing set listed by _crossing_sets whose
+    apex planarization is planar, or None when no set is; BudgetExceeded
+    when the deadline passes.  The sets left out by the prune are
+    non-planar, so this is the first planar set of all."""
+    for crossings in _crossing_sets(g, limits, deadline):
         adj = _planarization_adjacency(g, crossings)
         for v in g.x_vertices:
             adj[v].add(_APEX)
@@ -232,7 +243,7 @@ def _decide_drawable(
             rotation[v].remove(_APEX)
         witness = build_drawing(g, crossings, rotation)
         if disk_face_index(witness._faces, g.x_count) is None:
-            raise RuntimeError(f"the embedding of crossing set {matching} has no disk face")
+            raise RuntimeError(f"the embedding of crossing set {crossings} has no disk face")
         return witness
     return None
 
@@ -245,7 +256,9 @@ def is_one_disk_drawable(
     Returns a witness with the first crossing set in the deterministic
     enumeration order (fewest crossings first, then lexicographically)
     that admits one, drawn as the planarity test embeds it, or None once
-    the exhaustive search proves none exists.
+    the exhaustive search proves none exists.  Crossing sets with too few
+    free diagonal sides for the triangle-face bound are pruned unlisted,
+    so some "no" answers, K10,2's among them, take no planarity test.
     The time budget is the only limit: BudgetExceeded is raised when it
     runs out before the search is exhausted.
     """

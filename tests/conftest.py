@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import onedisk as od
@@ -24,6 +24,27 @@ def connected_classes(x: int, y: int):
     isomorphism class, in the search's canonical labelling, by edge count."""
     for m in range(1, x * y + 1):
         yield from search._classes(x, y, m, od.SearchLimits(), math.inf)
+
+
+def all_matchings(edges):
+    """Every crossing set: all sets of pairwise disjoint pairs of
+    independent edges, as index pairs (i, j) with i < j, by size and then
+    lexicographically, with nothing pruned.  Edges are (x, y) pairs, so
+    two are independent when both ends differ."""
+    pairs = [(i, j) for i, j in combinations(range(len(edges)), 2)
+             if edges[i][0] != edges[j][0] and edges[i][1] != edges[j][1]]
+
+    def extend(chosen: tuple, start: int, used: frozenset, size: int):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for k in range(start, len(pairs)):
+            i, j = pairs[k]
+            if i not in used and j not in used:
+                yield from extend(chosen + ((i, j),), k + 1, used | {i, j}, size)
+
+    for size in range(len(edges) // 2 + 1):
+        yield from extend((), 0, frozenset(), size)
 
 
 # Part sizes (x, y) with x <= y <= 3.

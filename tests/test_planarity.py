@@ -9,12 +9,11 @@ import sys
 
 import pytest
 
-from onedisk import search
 from onedisk._planarity import plane_rotation
 from onedisk.drawing import rotation_faces
 from onedisk.graph import reachable
 
-from conftest import SIZES_UP_TO_3_3, apex_planarization, connected_classes
+from conftest import SIZES_UP_TO_3_3, all_matchings, apex_planarization, connected_classes
 
 nx = pytest.importorskip("networkx")
 
@@ -95,7 +94,7 @@ def test_agrees_on_apex_planarizations():
     count = non_planar = 0
     for x, y in SIZES_UP_TO_3_3:
         for g in connected_classes(x, y):
-            for matching in search._matchings(g.edges):
+            for matching in all_matchings(g.edges):
                 non_planar += not _certified(apex_planarization(g, matching))
                 count += 1
     assert (count, non_planar) == (847, 607)

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import types
 from itertools import combinations, permutations
 
 import pytest
@@ -17,6 +18,7 @@ from onedisk.drawing import _normalize_crossings
 
 from conftest import (
     SIZES_UP_TO_3_3,
+    all_matchings,
     apex_planarization,
     connected_classes,
     k22,
@@ -125,7 +127,9 @@ def _reference_first_witness(g: od.BipartiteGraph) -> od.Drawing | None:
     bound of onedisk.search's module docstring excludes them without any
     planarity test."""
     smallest = max(0, len(g.edges) - g.x_count - 2 * g.y_count + 2)
-    for matching in search._matchings(g.edges, smallest):
+    for matching in all_matchings(g.edges):
+        if len(matching) < smallest:
+            continue
         crossings = _normalize_crossings(
             g, [(g.edges[i], g.edges[j]) for i, j in matching])
         witness = reference_witness(g, crossings)
@@ -162,7 +166,7 @@ def test_networkx_rejects_every_apex_planarization_of_k34():
     nx = pytest.importorskip("networkx")
     g = _k34()
     count = 0
-    for matching in search._matchings(g.edges):
+    for matching in all_matchings(g.edges):
         adj = apex_planarization(g, matching)
         planar, _ = nx.check_planarity(nx.Graph([(v, u) for v in adj for u in adj[v]]))
         assert not planar, matching
@@ -171,19 +175,19 @@ def test_networkx_rejects_every_apex_planarization_of_k34():
 
 
 def test_matchings_are_crossings_in_normal_form():
-    # The search builds Crossing(edges[i], edges[j]) for each pair (i, j)
-    # that _matchings yields, without normalizing them.
+    # The search embeds and draws the crossings that _crossing_sets yields
+    # without normalizing them.
     for x, y in SIZES_UP_TO_3_3:
         for g in connected_classes(x, y):
-            for matching in search._matchings(g.edges):
-                pairs = [(g.edges[i], g.edges[j]) for i, j in matching]
-                assert tuple(map(od.Crossing._make, pairs)) == _normalize_crossings(g, pairs)
+            for crossings in search._crossing_sets(g, od.SearchLimits(), math.inf):
+                assert all(type(c) is od.Crossing for c in crossings)
+                assert crossings == _normalize_crossings(g, crossings)
 
 
 def _passing(g: od.BipartiteGraph):
     """The crossing sets of ``g`` that pass the search's planarity filter,
     in enumeration order."""
-    for matching in search._matchings(g.edges):
+    for matching in all_matchings(g.edges):
         if plane_rotation(apex_planarization(g, matching)) is not None:
             yield _normalize_crossings(
                 g, [(g.edges[i], g.edges[j]) for i, j in matching])
@@ -208,43 +212,51 @@ def test_counting_bound_skips_no_planar_set():
             assert min(len(c) for c in _passing(g)) >= smallest, g.edges
 
 
-def _reference_free_diagonals(g: od.BipartiteGraph, matching) -> int:
-    """D(C) by its definition in onedisk.search's module docstring: over
-    all crossings, the diagonals that are edges of g and are not crossed."""
+def _need(g: od.BipartiteGraph) -> int:
+    """need of onedisk.search's module docstring: 2(m - x - 2y + 2)."""
+    return 2 * (len(g.edges) - g.x_count - 2 * g.y_count + 2)
+
+
+def _reference_free_diagonals(g: od.BipartiteGraph, matching) -> tuple[int, int]:
+    """D(C) and D'(C) by their definitions in onedisk.search's module
+    docstring: the diagonals, over all crossings, that are edges of g and
+    are not crossed, counted once per crossing and then capped at two per
+    edge."""
     crossed = {g.edges[k] for pair in matching for k in pair}
     uncrossed = set(g.edges) - crossed
-    count = 0
+    mult: dict = {}
     for i, j in matching:
         (xa, ya), (xb, yb) = g.edges[i], g.edges[j]
-        count += ((xa, yb) in uncrossed) + ((xb, ya) in uncrossed)
-    return count
+        for diagonal in ((xa, yb), (xb, ya)):
+            if diagonal in uncrossed:
+                mult[diagonal] = mult.get(diagonal, 0) + 1
+    return sum(mult.values()), sum(min(2, k) for k in mult.values())
 
 
 def _check_triangle_bound(sizes, embed) -> tuple[int, int, int]:
     """Check the triangle-face bound on every crossing set of every
-    connected class of ``sizes``: a set with fewer than need free diagonals
-    has no embedding, and an embedded set has need <= t <= D(C), where t
-    counts its triangular faces; need <= t is attained.  ``embed`` maps an
-    apex planarization to a rotation system or None.  Returns the numbers
-    of sets, of sets the bound skips and of planar sets."""
+    connected class of ``sizes``: a set with fewer than need free diagonal
+    sides has no embedding, and an embedded set has
+    need <= t <= D'(C) <= D(C), where t counts its triangular faces;
+    need <= t is attained.  ``embed`` maps an apex planarization to a
+    rotation system or None.  Returns the numbers of sets, of sets the
+    bound skips and of planar sets."""
     total = skipped = planar = 0
     least_slack = math.inf
     for x, y in sizes:
         for g in connected_classes(x, y):
-            need = search._need(g)
-            index = {e: k for k, e in enumerate(g.edges)}
-            for matching in search._matchings(g.edges):
+            need = _need(g)
+            for matching in all_matchings(g.edges):
                 total += 1
-                free = search._free_diagonals(g.edges, index, matching)
-                assert free == _reference_free_diagonals(g, matching), matching
+                free, sides = _reference_free_diagonals(g, matching)
                 rotation = embed(apex_planarization(g, matching))
-                if free < need:
+                if sides < need:
                     assert rotation is None, (g.edges, matching)
                     skipped += 1
                 elif rotation is not None:
                     planar += 1
                     t = sum(len(face) == 3 for face in od.rotation_faces(rotation))
-                    assert need <= t <= free, (g.edges, matching)
+                    assert need <= t <= sides <= free, (g.edges, matching)
                     least_slack = min(least_slack, t - need)
     # Some embedding has exactly need triangles, so a smaller need would
     # fail here and a larger one above.
@@ -272,6 +284,23 @@ def test_networkx_confirms_the_triangle_face_bound():
     assert _check_triangle_bound(sizes, embed) == (37371, 16770, 12718)
 
 
+def test_crossing_sets_are_the_sets_with_enough_free_diagonal_sides():
+    # The pruned walk lists exactly the crossing sets with D'(C) >= need,
+    # in the order of the full listing: by size, then lexicographically.
+    classes = listed = 0
+    for x, y in [*SIZES_UP_TO_3_3, (2, 4), (2, 5)]:
+        for g in connected_classes(x, y):
+            need = _need(g)
+            expected = [tuple(od.Crossing(g.edges[i], g.edges[j]) for i, j in matching)
+                        for matching in _reference_matchings(g.edges)
+                        if _reference_free_diagonals(g, matching)[1] >= need]
+            found = list(search._crossing_sets(g, od.SearchLimits(), math.inf))
+            assert found == expected, g.edges
+            classes += 1
+            listed += len(found)
+    assert (classes, listed) == (37, 2040)
+
+
 def test_k34_refutation_makes_312_planarity_calls(monkeypatch):
     # The bound lets 312 of K3,4's 11,896 crossing sets through to the
     # planarity test; the counting bound alone let 11,409 through.
@@ -285,6 +314,120 @@ def test_k34_refutation_makes_312_planarity_calls(monkeypatch):
     monkeypatch.setattr(search, "plane_rotation", counting)
     assert od.is_one_disk_drawable(_k34()) is None
     assert len(calls) == 312
+
+
+@pytest.fixture
+def planarity_calls(monkeypatch) -> list:
+    """Every apex planarization the search passes to plane_rotation."""
+    calls: list = []
+    real = search.plane_rotation
+
+    def counting(adj):
+        calls.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(search, "plane_rotation", counting)
+    return calls
+
+
+@pytest.fixture
+def clock_reads(monkeypatch) -> list:
+    """Every read of the search's clock: one per deadline set, one per
+    relabeling order and one per partial crossing set extended."""
+    reads: list = []
+
+    def counting():
+        reads.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting))
+    return reads
+
+
+def test_k34_walk_extends_2102_partial_sets(clock_reads):
+    # Pins the strength of the prune: a looser cap 2(m - 2s + 1) lists the
+    # same sets but extends 6,153 partial sets.
+    assert od.is_one_disk_drawable(_k34()) is None
+    assert len(clock_reads) == 1 + 2102
+
+
+def test_k10_2_refutation_makes_no_planarity_call(planarity_calls, clock_reads):
+    # K10,2 has need = 16.  The cap 2(20 - 2c) >= 16 allows c <= 6
+    # crossings, which give at most 2c < 16 free diagonal sides, so the
+    # prune drops every size before any set is listed.  K10,2 plus the apex
+    # is K3,10, which has no 1-planar drawing (Czap and Hudak).
+    g = od.new_bipartite(10, 2, [(i, 10 + j) for i in range(10) for j in range(2)])
+    assert od.is_one_disk_drawable(g) is None
+    assert planarity_calls == []
+    # The one clock read sets the deadline; no partial set is extended.
+    assert len(clock_reads) == 1
+
+
+_MAX_EDGES_10_2_CHILD = """
+import json, time
+import onedisk as od
+start = time.monotonic()
+out = od.max_edges_one_disk(10, 2, od.SearchLimits(time_budget=15.0))
+print(json.dumps({"max_edges": out.max_edges, "seconds": time.monotonic() - start}))
+"""
+
+
+def test_max_edges_10_2_within_budget():
+    # The prune refutes levels 20 down to 15 with no planarity call, so
+    # canonicalizing their classes takes most of the time; a fresh process
+    # keeps other tests' load out of the budget.
+    result = subprocess.run([sys.executable, "-c", _MAX_EDGES_10_2_CHILD],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["max_edges"] == 14
+    assert report["seconds"] < 15.0
+
+
+def test_max_edges_4_4(planarity_calls):
+    # 12 edges, below the ceiling 3x + 2y - 6 = 14; the witness is the one
+    # first reached in the search's order.  Capping each diagonal at its
+    # two sides lets 5,399 crossing sets through to the planarity test;
+    # the uncapped count D(C) let 5,963 through.
+    out = od.max_edges_one_disk(4, 4)
+    assert out.max_edges == 12
+    assert out.witness.crossings == (((1, 4), (2, 5)), ((1, 6), (3, 5)), ((2, 6), (3, 4)))
+    assert od.find_one_disk_face(out.witness) is not None
+    assert len(planarity_calls) == 5399
+
+
+_PRUNED_WALK_BUDGET_CHILD = """
+import json, sys, time
+import onedisk as od
+limits = od.SearchLimits(time_budget=0.5)
+start = time.monotonic()
+try:
+    eval(sys.argv[1])
+    message = None
+except od.BudgetExceeded as e:
+    message = str(e)
+print(json.dumps({"message": message, "seconds": time.monotonic() - start}))
+"""
+
+
+@pytest.mark.parametrize("call", [
+    # The 18-edge level of (4, 6) spends its time in walks that the prune
+    # cuts short.
+    "od.max_edges_one_disk(4, 6, limits)",
+    # K6,2 with eight more X vertices on one Y vertex: the walk lists no
+    # crossing set for about 6 s, so a clock read only per listed set
+    # would miss the deadline.
+    "od.is_one_disk_drawable(od.new_bipartite(14, 2, [(i, 15) for i in range(14)]"
+    " + [(i, 14) for i in range(8, 14)]), limits)",
+], ids=["max_edges_4_6", "nothing_listed_14_2"])
+def test_pruned_walk_honours_budget(call):
+    result = subprocess.run([sys.executable, "-c", _PRUNED_WALK_BUDGET_CHILD, call],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["message"] is not None
+    assert "while testing" in report["message"]
+    assert report["seconds"] < 2.0
 
 
 def test_max_edges_never_below_construction():
@@ -413,10 +556,10 @@ def test_matchings_match_reference_definition():
     count = 0
     for x, y in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]:
         for g in _connected_graphs(x, y):
-            assert list(search._matchings(g.edges)) == list(_reference_matchings(g.edges))
+            assert list(all_matchings(g.edges)) == list(_reference_matchings(g.edges))
             count += 1
     assert count == 1 + 1 + 1 + 5 + 19 + 205
-    assert len(list(search._matchings(k33().edges))) == 370
+    assert len(list(all_matchings(k33().edges))) == 370
 
 
 def test_search_witnesses_are_byte_identical(tmp_path):
