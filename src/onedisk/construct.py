@@ -10,23 +10,25 @@ any drawing with an all-X face and glues a mirror image to it along the
 X vertices, doubling the edge count while keeping 1-planarity.
 
 No coordinates are involved.  The scaffold's rotation system comes from
-the cyclic order of the polygon, each gadget is a fixed rotation template
-spliced into the corners of its triangle, and the nested vertices are
-spliced into the hull corner at vertices 0 and 1.  The part sizes are
+the cyclic order of the polygon.  Each gadget is a fixed rotation
+template, and at each corner of its triangle it fills one angle of the
+scaffold with a wedge of new neighbours; the nested vertices fill the
+outer angles at hull vertices 0 and 1.  Each X vertex's rotation is its
+wedges read once in the scaffold's cyclic order.  The part sizes are
 known before the first gadget, so every Y vertex and dummy gets its final
-id when it is made.  The builder's state is three plain attributes,
-``rotation``, ``edges`` and ``crossings``, which the gadgets and the
-nested vertices write directly.  ``build_drawing`` then checks the
-result like any other drawing, so the staging helpers
-(``maximal_outerplanar``, ``DrawingBuilder``, ``insert_b3``) guard
-nothing themselves and are not exported from the package.
+id when it is made.  The builder's state is plain attributes
+(``rotation``, ``wedges``, ``edges``, ``crossings`` and the Y counter
+``next_y``), which the gadgets and the nested vertices write directly.
+``build_drawing`` then checks the result like any other drawing, so the
+staging helpers (``maximal_outerplanar``, ``DrawingBuilder``,
+``insert_b3``) guard nothing themselves and are not exported from the
+package.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .drawing import (
     Drawing,
@@ -159,64 +161,56 @@ _GADGET_ROTATIONS = {
     "d1": "b0 c0 c2 b2",
     "d2": "c1 b1 b2 c2",
 }
-# Corner ci receives its wedge straight after c(i-1) in its rotation.
+# Corner ci's wedge fills the angle that follows c(i-1) in its rotation.
 _GADGET_WEDGES = ("d1 b0 d0", "d0 b1 d2", "d2 b2 d1")
 
 
 class DrawingBuilder:
-    """Drawing under construction: a rotation system grown in place.
+    """Drawing under construction: new nodes and the wedges they fill.
 
-    Starts from the scaffold's rotation system and the final Y count, so
-    every node gets its final id when it is made: Y vertices from
-    ``scaffold_count`` on, the dummy of crossing i at
-    ``scaffold_count + y_count + i``.  The state is three plain
-    attributes that gadgets and nested vertices write directly:
-    ``rotation`` (each node's cyclic order, as a list), ``edges`` and
-    ``crossings``.  New nodes get fixed rotations, and their edges are
-    spliced into the rotations of the scaffold vertices.  Scaffold edges
-    stay in ``rotation`` and are dropped from the finished bipartite
-    drawing.
+    Takes the scaffold and the final Y count, so every node gets its
+    final id when it is made: Y vertices from ``scaffold_count`` on
+    (``next_y`` is the next free one), the dummy of crossing i at
+    ``scaffold_count + y_count + i``.  The state is plain attributes that
+    gadgets and nested vertices write directly: ``rotation`` (each new
+    node's cyclic order), ``wedges``, ``edges`` and ``crossings``.
+    ``wedges[c, p]`` lists the new neighbours of scaffold vertex c in the
+    angle that follows scaffold neighbour p in c's rotation.  The
+    scaffold edges only order the wedges; they never enter the finished
+    bipartite drawing.
     """
 
     def __init__(self, scaffold: OuterplanarSkeleton, y_count: int):
+        self.scaffold = scaffold
         self.scaffold_count = scaffold.vertex_count
         self.y_count = y_count
-        self.rotation: dict[int, list[int]] = {
-            v: list(order) for v, order in scaffold.rotation.items()
-        }
-        self._next_y = self.scaffold_count
+        self.next_y = self.scaffold_count
+        self.rotation: dict[int, tuple[int, ...]] = {}
+        self.wedges: dict[tuple[int, int], list[int]] = {}
         self.edges: list[Edge] = []
         self.crossings: list[tuple[Edge, Edge]] = []
-
-    def add_y_vertex(self) -> int:
-        vid = self._next_y
-        self._next_y += 1
-        self.rotation[vid] = []
-        return vid
 
     def add_crossing(self, edge_a: Edge, edge_b: Edge) -> int:
         """Record a crossing; returns its dummy node."""
         dummy = self.scaffold_count + self.y_count + len(self.crossings)
         self.crossings.append((edge_a, edge_b))
-        self.rotation[dummy] = []
         return dummy
 
-    def splice(self, v: int, after: int, wedge: Sequence[int]) -> None:
-        """Insert ``wedge`` into the rotation at ``v`` straight after ``after``."""
-        order = self.rotation[v]
-        i = order.index(after) + 1
-        order[i:i] = wedge
-
     def derive_rotation(self) -> dict[int, tuple[int, ...]]:
-        """The rotation system so far without the scaffold edges."""
-        x = self.scaffold_count
+        """The rotation system so far: each scaffold vertex's wedges in the
+        scaffold's cyclic order, then the new nodes in creation order."""
+        # No two wedges share a key: the key (c, p) reverses the side p -> c,
+        # a gadget's key is a side of its triangle's face, a nested key a
+        # side of the outer face, and each side lies on exactly one face.
+        # A wedge written twice would lose the first, and build_drawing
+        # would reject the rotation as incomplete.
         return {
-            v: tuple(u for u in order if not (v < x and u < x))
-            for v, order in self.rotation.items()
-        }
+            c: tuple(u for p in order for u in self.wedges.get((c, p), ()))
+            for c, order in self.scaffold.rotation.items()
+        } | self.rotation
 
     def finish(self) -> tuple[BipartiteGraph, Drawing]:
-        """Drop the scaffold edges and assemble the validated drawing."""
+        """Assemble the validated bipartite drawing."""
         g = new_bipartite(self.scaffold_count, self.y_count, self.edges)
         return g, build_drawing(g, self.crossings, self.derive_rotation())
 
@@ -225,11 +219,12 @@ def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
     """Place the crossing gadget inside one inner triangle of the scaffold.
 
     Adds three Y vertices joined to all three corners (nine edges) and
-    the gadget's three crossings, spliced into the corners' rotations
-    between the triangle's sides.
+    the gadget's three crossings, and fills each corner's angle inside
+    the triangle with the gadget's wedge.
     """
     corners = triangle.nodes
-    interior = tuple(builder.add_y_vertex() for _ in range(3))
+    interior = tuple(range(builder.next_y, builder.next_y + 3))
+    builder.next_y += 3
     builder.edges += [(c, b) for b in interior for c in corners]
     dummies = tuple(
         builder.add_crossing((corners[ca], interior[ba]), (corners[cb], interior[bb]))
@@ -238,9 +233,9 @@ def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
 
     ids = dict(zip("c0 c1 c2 b0 b1 b2 d0 d1 d2".split(), corners + interior + dummies))
     for name, order in _GADGET_ROTATIONS.items():
-        builder.rotation[ids[name]] = [ids[t] for t in order.split()]
+        builder.rotation[ids[name]] = tuple(ids[t] for t in order.split())
     for i, wedge in enumerate(_GADGET_WEDGES):
-        builder.splice(corners[i], corners[i - 1], [ids[t] for t in wedge.split()])
+        builder.wedges[corners[i], corners[i - 1]] = [ids[t] for t in wedge.split()]
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +258,15 @@ def _attach_nested_pair(builder: DrawingBuilder, count: int) -> None:
 
     They sit in the unbounded face beside the hull edge 0-1, w1 innermost,
     so their edges neither cross anything nor block any hull vertex from
-    the unbounded face.
+    the unbounded face.  They fill the outer angles at 0 (after hull
+    vertex x-1) and at 1 (after 0).
     """
-    added = [builder.add_y_vertex() for _ in range(count)]
+    added = list(range(builder.next_y, builder.next_y + count))
+    builder.next_y += count
     builder.edges += [(v, w) for w in added for v in (0, 1)]
-    builder.rotation.update((w, [0, 1]) for w in added)
-    builder.splice(0, builder.scaffold_count - 1, added[::-1])
-    builder.splice(1, 0, added)
+    builder.rotation.update((w, (0, 1)) for w in added)
+    builder.wedges[0, builder.scaffold_count - 1] = added[::-1]
+    builder.wedges[1, 0] = added
 
 
 def construct_extremal(
@@ -281,7 +278,11 @@ def construct_extremal(
     x >= 3 with y = 3(x-2) + t for t >= 0 (one gadget per scaffold
     triangle, then t nested degree-2 vertices).  For x >= 4 with
     x <= y < 3(x-2) no construction is known; UncoveredRegime is raised.
+    A part size that is not an int (a bool is not an int here) raises
+    ValueError, like any other bad part size.
     """
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"part sizes must be ints, got {x!r} and {y!r}")
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if y < x:

@@ -11,6 +11,7 @@ from onedisk.construct import DrawingBuilder, insert_b3, maximal_outerplanar
 from onedisk.drawing import rotation_faces
 
 from conftest import no_disk_k33_drawing, planar_k22_drawing
+from test_golden import STRATEGIES
 
 
 def _degree(g: od.BipartiteGraph, v: int) -> int:
@@ -134,6 +135,30 @@ def test_insert_b3_all_triangles_k5():
     assert od.crossing_count(d) == 9
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("x", range(3, 13))
+def test_wedge_keys_reverse_distinct_scaffold_face_sides(x, t, strategy):
+    # Each wedge fills the angle that a scaffold face's step (p, c) enters
+    # at c, and is keyed (c, p): a gadget's by a step of its own triangle,
+    # the nested pair's by steps of the outer face.  A key written twice
+    # would shrink the key count.
+    s = maximal_outerplanar(x, strategy)
+    builder = DrawingBuilder(s, 3 * (x - 2) + t)
+    for tri in s.triangles:
+        before = set(builder.wedges)
+        insert_b3(builder, tri)
+        added = set(builder.wedges) - before
+        assert {(p, c) for c, p in added} <= set(tri.steps), (tri, added)
+    if t:
+        before = set(builder.wedges)
+        construct_mod._attach_nested_pair(builder, t)
+        added = set(builder.wedges) - before
+        assert {(p, c) for c, p in added} <= set(s.outer_face.steps), added
+    assert len(builder.wedges) == 3 * (x - 2) + 2 * (t > 0)
+    builder.finish()
+
+
 # ---------------------------------------------------------------------------
 # construct_extremal
 # ---------------------------------------------------------------------------
@@ -221,6 +246,12 @@ def test_extremal_domain_errors():
         od.construct_extremal(1, 5)
     with pytest.raises(ValueError):
         od.construct_extremal(4, 3)
+
+
+@pytest.mark.parametrize("x, y", [(2.0, 5), (3.5, 9), (3, 9.0), ("3", 9), (True, 5)])
+def test_extremal_rejects_part_sizes_that_are_not_ints(x, y):
+    with pytest.raises(ValueError, match="must be ints"):
+        od.construct_extremal(x, y)
 
 
 # ---------------------------------------------------------------------------
