@@ -1,6 +1,9 @@
 """Closed-form edge-count ceilings and a report comparing a graph to them.
 
-Every function returns the maximum edge count the named result permits.
+Every function returns the maximum edge count the named result permits
+and raises OutOfDomain outside its domain, a part size or order that is
+not an int included.  One table, ``_CEILINGS``, lists them in report
+order with the evidence each needs.  ``ceilings`` evaluates its rows;
 ``check`` evaluates a concrete graph, optionally with a verified drawing,
 against all of them at once; a bound is marked applicable only when its
 hypothesis is actually established by the supplied evidence (for example
@@ -20,23 +23,41 @@ class OutOfDomain(ValueError):
     """Arguments outside the stated domain of a bound."""
 
 
+def _ints(*values: object) -> None:
+    """Raise OutOfDomain unless every value is an int (a bool is not one here)."""
+    if not {*map(type, values)} <= {int}:
+        raise OutOfDomain(f"need ints, got {', '.join(map(repr, values))}")
+
+
+def _parts(x: int, y: int) -> None:
+    """Raise OutOfDomain unless x and y are ints with 2 <= x <= y."""
+    _ints(x, y)
+    if not 2 <= x <= y:
+        raise OutOfDomain(f"need 2 <= x <= y, got x={x}, y={y}")
+
+
+def _order(x: int, y: int) -> int:
+    """The order x + y of int parts x and y."""
+    _ints(x, y)
+    return x + y
+
+
 def one_disk_max_edges(x: int, y: int) -> int:
     """Most edges of a bipartite graph drawable with all of X on one face:
     3x + 2y - 6, for 2 <= x <= y."""
-    if not 2 <= x <= y:
-        raise OutOfDomain(f"need 2 <= x <= y, got x={x}, y={y}")
+    _parts(x, y)
     return 3 * x + 2 * y - 6
 
 
 def huang_max_edges(x: int, y: int) -> int:
     """Bipartite 1-planar ceiling 2(x + y) + 4x - 12, for 2 <= x <= y."""
-    if not 2 <= x <= y:
-        raise OutOfDomain(f"need 2 <= x <= y, got x={x}, y={y}")
+    _parts(x, y)
     return 2 * (x + y) + 4 * x - 12
 
 
 def karpov_max_edges(n: int) -> int:
     """Bipartite 1-planar ceiling by order: 3n - 8 for even n != 6, else 3n - 9."""
+    _ints(n)
     if n < 4:
         raise OutOfDomain(f"need n >= 4, got {n}")
     if n % 2 == 0 and n != 6:
@@ -46,8 +67,7 @@ def karpov_max_edges(n: int) -> int:
 
 def czap_max_edges(x: int, y: int) -> int:
     """Bipartite 1-planar ceiling 2(x + y) + 6x - 16, for 2 <= x <= y."""
-    if not 2 <= x <= y:
-        raise OutOfDomain(f"need 2 <= x <= y, got x={x}, y={y}")
+    _parts(x, y)
     return 2 * (x + y) + 6 * x - 16
 
 
@@ -63,6 +83,7 @@ def classic_max_edges(kind: str, n: int) -> int:
     1-planar 4n-8; all for n >= 3."""
     if kind not in _CLASSIC:
         raise OutOfDomain(f"unknown kind {kind!r}; expected one of {sorted(_CLASSIC)}")
+    _ints(n)
     if n < 3:
         raise OutOfDomain(f"need n >= 3, got {n}")
     a, b = _CLASSIC[kind]
@@ -75,6 +96,7 @@ def problem_target_edges(x: int, y: int) -> Fraction:
     Kept as a displayed reference value, not a proven ceiling: the
     extremal family built in this package exceeds it whenever x > 3.
     """
+    _ints(x, y)
     if x < 2:
         raise OutOfDomain(f"need x >= 2, got {x}")
     return 2 * y + Fraction(5 * x, 3) - 2
@@ -109,10 +131,20 @@ class BoundsReport:
         return tuple(e for e in self.entries if e.violated)
 
 
-def _entry(name: str, applicable: bool, limit, actual: int) -> BoundEntry:
-    if not applicable:
-        return BoundEntry(name, False, limit, actual, False, False)
-    return BoundEntry(name, True, limit, actual, actual == limit, actual > limit)
+# One row per ceiling, in report order: its name, its limit as a function
+# of the parts (x, y), and the evidence ``check`` needs before it marks the
+# limit applicable.  A limit raises OutOfDomain outside its domain.
+_CEILINGS = (
+    ("one_disk", one_disk_max_edges, "disk_face"),
+    ("huang", huang_max_edges, "drawing"),
+    ("czap", czap_max_edges, "drawing"),
+    ("karpov", lambda x, y: karpov_max_edges(_order(x, y)), "drawing"),
+    ("planar", lambda x, y: classic_max_edges("planar", _order(x, y)), "no_crossing"),
+    ("bipartite_planar",
+     lambda x, y: classic_max_edges("bipartite_planar", _order(x, y)), "no_crossing"),
+    ("one_planar", lambda x, y: classic_max_edges("one_planar", _order(x, y)), "drawing"),
+    ("problem_target", problem_target_edges, "conjecture"),
+)
 
 
 def ceilings(x: int, y: int) -> dict[str, int | Fraction | None]:
@@ -121,18 +153,13 @@ def ceilings(x: int, y: int) -> dict[str, int | Fraction | None]:
     The names are in report order.  ``problem_target`` is the conjectured
     target, listed for comparison; it is not a proven ceiling.
     """
-    parts_ok = 2 <= x <= y
-    n = x + y
-    return {
-        "one_disk": one_disk_max_edges(x, y) if parts_ok else None,
-        "huang": huang_max_edges(x, y) if parts_ok else None,
-        "czap": czap_max_edges(x, y) if parts_ok else None,
-        "karpov": karpov_max_edges(n) if n >= 4 else None,
-        "planar": classic_max_edges("planar", n) if n >= 3 else None,
-        "bipartite_planar": classic_max_edges("bipartite_planar", n) if n >= 3 else None,
-        "one_planar": classic_max_edges("one_planar", n) if n >= 3 else None,
-        "problem_target": problem_target_edges(x, y) if x >= 2 else None,
-    }
+    table = {}
+    for name, limit, _ in _CEILINGS:
+        try:
+            table[name] = limit(x, y)
+        except OutOfDomain:
+            table[name] = None
+    return table
 
 
 def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
@@ -145,22 +172,17 @@ def check(g: BipartiteGraph, d: Drawing | None = None) -> BoundsReport:
     a proven bound.  An applicable-and-violated disk entry would mean a
     bug in this package, not a counterexample.
     """
-    m = len(g.edges)
-    verified = d is not None and d.graph == g
-    one_disk_ok = verified and find_one_disk_face(d) is not None
-    planar_ok = verified and crossing_count(d) == 0
+    drawn = d is not None and d.graph == g
     evidence = {
-        "one_disk": one_disk_ok,
-        "huang": verified,
-        "czap": verified,
-        "karpov": verified,
-        "planar": planar_ok,
-        "bipartite_planar": planar_ok,
-        "one_planar": verified,
-        "problem_target": False,
+        "drawing": drawn,
+        "disk_face": drawn and find_one_disk_face(d) is not None,
+        "no_crossing": drawn and crossing_count(d) == 0,
+        "conjecture": False,
     }
-    table = ceilings(g.x_count, g.y_count)
-    return BoundsReport(tuple(
-        _entry(name, evidence[name] and limit is not None, limit, m)
-        for name, limit in table.items()
-    ))
+    m = len(g.edges)
+    limits = ceilings(g.x_count, g.y_count).values()
+    entries = []
+    for (name, _, needs), limit in zip(_CEILINGS, limits):
+        ok = evidence[needs] and limit is not None
+        entries.append(BoundEntry(name, ok, limit, m, ok and m == limit, ok and m > limit))
+    return BoundsReport(tuple(entries))

@@ -279,8 +279,10 @@ def construct_extremal(
     triangle, then t nested degree-2 vertices).  For x >= 4 with
     x <= y < 3(x-2) no construction is known; UncoveredRegime is raised.
     A part size that is not an int (a bool is not an int here) raises
-    ValueError, like any other bad part size.
+    ValueError, like any other bad part size.  The strategy is parsed
+    first, so a bad one raises ValueError whatever the part sizes.
     """
+    _chords(3, strategy)
     if type(x) is not int or type(y) is not int:
         raise ValueError(f"part sizes must be ints, got {x!r} and {y!r}")
     if x < 2:

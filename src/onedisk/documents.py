@@ -9,7 +9,9 @@ Graph document keys:
 Drawing document keys:
     schema         "onedisk-drawing/1"
     graph          embedded graph document
-    crossings      list of [edge_index, edge_index] into graph.edges
+    crossings      list of [edge_index, edge_index] into the graph's edges
+                   sorted X endpoint first, as they are saved; the
+                   order the document lists graph.edges in is ignored
     rotation       {"node_id": [neighbor ids...]} over all planarization
                    nodes; the dummy of crossings[i] is vertex_count + i.
                    A key is written as ``str(node)``: "7", never "07",

@@ -110,7 +110,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from ._planarity import plane_rotation
-from .bounds import one_disk_max_edges
+from .bounds import ceilings
 from .drawing import (
     Crossing,
     Drawing,
@@ -335,15 +335,20 @@ def max_edges_one_disk(x: int, y: int, limits: SearchLimits | None = None) -> Se
     Candidate edge sets are enumerated up to part-preserving isomorphism
     and filtered to connected graphs.  The first level with a drawable
     candidate is the maximum.  The search starts at the proven ceiling
-    (x*y outside 2 <= x <= y) and tests no level above it: it confirms
+    (x*y outside its domain) and tests no level above it: it confirms
     that the ceiling is attained, not that it holds.  Raises
-    BudgetExceeded when the time budget runs out first.
+    BudgetExceeded when the time budget runs out first, and ValueError
+    for a part size that is not a positive int (a bool is not an int here).
     """
     limits = limits or SearchLimits()
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"part sizes must be ints, got {x!r} and {y!r}")
     if x < 1 or y < 1:
         raise ValueError("part sizes must be positive")
-    # Never above x*y: x*y - (3x + 2y - 6) = (x - 2)(y - 3) >= 0 for 2 <= x <= y.
-    ceiling = one_disk_max_edges(x, y) if 2 <= x <= y else x * y
+    # Never above x*y: x*y - (3x + 2y - 6) = (x - 2)(y - 3) >= 0 in the disk domain.
+    ceiling = ceilings(x, y)["one_disk"]
+    if ceiling is None:
+        ceiling = x * y
     deadline = time.monotonic() + limits.time_budget
 
     for m in range(ceiling, 0, -1):

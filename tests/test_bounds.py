@@ -40,10 +40,27 @@ def test_one_disk_domain():
     (od.huang_max_edges, (3, 2)),
     (od.czap_max_edges, (1, 1)),
     (od.problem_target_edges, (1, 5)),
+    # Part sizes and orders that are not ints.
+    (od.one_disk_max_edges, (2.5, 3)),
+    (od.one_disk_max_edges, (2, "3")),
+    (od.huang_max_edges, (2, 3.0)),
+    (od.czap_max_edges, (2, 3.0)),
+    (od.karpov_max_edges, (4.5,)),
+    (od.karpov_max_edges, (8.0,)),
+    (od.classic_max_edges, ("planar", 3.5)),
+    (od.classic_max_edges, ("one_planar", 8.0)),
+    (od.problem_target_edges, (3, 2.5)),
+    (od.problem_target_edges, (2.5, 3)),
 ], ids=lambda p: getattr(p, "__name__", None))
 def test_formula_domains(formula, args):
     with pytest.raises(od.OutOfDomain):
         formula(*args)
+
+
+@pytest.mark.parametrize("x, y", [(2.5, 4), (4, 6.0), (True, 3), (3, True), ("2", 3)])
+def test_ceilings_of_part_sizes_that_are_not_ints_are_none(x, y):
+    # True + 3 is the int 4, so the order ceilings test the parts too.
+    assert set(ceilings(x, y).values()) == {None}
 
 
 def test_huang_values():

@@ -241,6 +241,14 @@ def test_uncovered_regime():
         od.construct_extremal(5, 8)
 
 
+@pytest.mark.parametrize("x, y", [(2, 5), (4, 4), (1, 5), (2.0, 5)])
+def test_extremal_parses_the_strategy_first(x, y):
+    # Before any range or regime check, and also at x = 2, where the
+    # two-column family has no triangulation to choose.
+    with pytest.raises(ValueError, match="unknown triangulation strategy"):
+        od.construct_extremal(x, y, "spiral")
+
+
 def test_extremal_domain_errors():
     with pytest.raises(ValueError):
         od.construct_extremal(1, 5)

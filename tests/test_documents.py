@@ -52,6 +52,19 @@ def test_drawing_round_trip_property(x, t, strategy, tmp_path_factory):
     assert od.Drawing(d.graph, [tuple(c) for c in d.crossings], dict(d.rotation)) == d
 
 
+def test_crossings_index_edges_sorted_x_endpoint_first(tmp_path):
+    # The loader resolves crossing indices against the graph's sorted edges,
+    # not against the order the document lists them in.
+    _, d = od.construct_extremal(4, 6)
+    path = tmp_path / "d.json"
+    od.save_drawing(d, path)
+    doc = json.loads(path.read_text())
+    doc["graph"]["edges"] = [[v, u] for u, v in reversed(doc["graph"]["edges"])]
+    assert doc["crossings"] and doc["graph"]["edges"][0][0] >= 4
+    path.write_text(json.dumps(doc))
+    assert od.load_drawing(path) == d
+
+
 def test_save_is_canonical(tmp_path):
     _, d = od.construct_extremal(3, 3)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -53,6 +53,15 @@ def test_part_sizes_must_be_positive():
         od.max_edges_one_disk(0, 3)
 
 
+@pytest.mark.parametrize("x, y", [(2.0, 3), (2, 3.0), ("2", 3), (True, 3)])
+def test_part_sizes_must_be_ints(x, y):
+    # A plain ValueError before any class is built, not a GraphError or
+    # TypeError from inside the search.
+    with pytest.raises(ValueError, match="must be ints") as info:
+        od.max_edges_one_disk(x, y)
+    assert info.type is ValueError
+
+
 def test_drawable_k22():
     witness = od.is_one_disk_drawable(k22())
     assert witness is not None
