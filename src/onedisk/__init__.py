@@ -18,7 +18,6 @@ from .bounds import (
     problem_target_edges,
 )
 from .construct import (
-    ConstructError,
     UncoveredRegime,
     construct_extremal,
     double,
@@ -74,7 +73,6 @@ __all__ = [
     "BipartiteGraph",
     "BoundsReport",
     "BudgetExceeded",
-    "ConstructError",
     "Crossing",
     "DisconnectedPlanarization",
     "Drawing",

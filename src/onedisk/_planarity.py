@@ -7,7 +7,7 @@ planarization the search builds is (see :mod:`onedisk.search`), and
 returns a rotation system of a plane embedding -- each node mapped to
 its neighbours in cyclic order, in the convention of
 :func:`onedisk.drawing.rotation_faces` -- or None when the graph is
-non-planar.  It works in four steps, each of which keeps planarity:
+non-planar.  It works in three steps, each of which keeps planarity:
 
 1. Nodes of degree at most one are peeled off, and each node of degree
    two is suppressed: its two edges become one edge between its
@@ -16,9 +16,7 @@ non-planar.  It works in four steps, each of which keeps planarity:
    adjacent.  Drawing a peeled node, a subdivision node or a parallel
    edge into a plane drawing keeps it plane, so the reduced graph is
    planar exactly when the input is.
-2. A simple planar graph on V >= 3 nodes has at most 3V - 6 edges, so a
-   reduced graph with more is rejected at once.
-3. The reduced graph must be empty or biconnected; that is the
+2. The reduced graph must be empty or biconnected; that is the
    routine's contract.  It is embedded by one run of the path-addition
    algorithm of Demoucron, Malgrange and Pertuiset (1964), which fails
    exactly on non-planar graphs and otherwise yields the faces as node
@@ -27,7 +25,7 @@ non-planar.  It works in four steps, each of which keeps planarity:
    contract the run raises ValueError, when its first cycle cannot close
    or a fragment has fewer than two attachments, unless it has found the
    graph non-planar first; no rotation is ever returned for such a graph.
-4. The undo log is replayed backwards.  A peeled node is appended to its
+3. The undo log is replayed backwards.  A peeled node is appended to its
    neighbour's order.  A suppressed node v with neighbours a and b takes
    b's place at a and a's place at b, subdividing the edge ab; when a
    and b were already adjacent, v goes in beside that edge instead --
@@ -49,12 +47,8 @@ def plane_rotation(adj: Adjacency) -> dict[int, list[int]] | None:
     """A rotation system of a plane embedding of the simple graph ``adj``,
     or None when it is non-planar; ``adj`` is not modified.  A graph whose
     reduction is neither empty nor biconnected raises ValueError or is
-    found non-planar (module docstring, step 3)."""
+    found non-planar (module docstring, step 2)."""
     g, undo = _reduced(adj)
-    nodes = len(g)
-    edges = sum(len(nbrs) for nbrs in g.values()) // 2
-    if nodes >= 3 and edges > 3 * nodes - 6:
-        return None
     faces = _embeds(g) if g else []
     if faces is None:
         return None
@@ -72,7 +66,7 @@ def plane_rotation(adj: Adjacency) -> dict[int, list[int]] | None:
             u = succ[u]
             if u == first:
                 break
-    # Undo the reduction, last removal first (module docstring, step 4).
+    # Undo the reduction, last removal first (module docstring, step 3).
     for v, nbrs, adjacent in reversed(undo):
         rotation[v] = list(nbrs)
         if len(nbrs) == 1:

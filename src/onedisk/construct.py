@@ -41,11 +41,7 @@ from .drawing import (
 from .graph import BipartiteGraph, Edge, new_bipartite
 
 
-class ConstructError(ValueError):
-    """A construction precondition failed."""
-
-
-class UncoveredRegime(ConstructError):
+class UncoveredRegime(ValueError):
     """No extremal construction is available for x >= 4 with y < 3(x-2)."""
 
 
@@ -82,9 +78,10 @@ def _chords(k: int, strategy: str) -> list[Edge]:
     if s == "zigzag":
         # (1, k-1), (2, k-1), (2, k-2), (3, k-2), ...: the ends step inward in turn.
         return [(1 + (j + 1) // 2, k - 1 - j // 2) for j in range(k - 3)]
-    if not s.startswith("seed:"):
-        raise ValueError(f"unknown triangulation strategy {strategy!r}")
-    rng = random.Random(int(s[5:]))
+    try:
+        rng = random.Random(int(s[5:] if s.startswith("seed:") else ""))
+    except ValueError:
+        raise ValueError(f"unknown triangulation strategy {strategy!r}") from None
     poly = list(range(k))
     chords: list[Edge] = []
     while len(poly) > 3:

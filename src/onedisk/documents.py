@@ -139,7 +139,7 @@ def drawing_from_document(doc: dict) -> Drawing:
         for key, nbrs in raw_rotation.items():
             try:
                 node = int(key)
-            except ValueError:
+            except (TypeError, ValueError):
                 raise ParseError(f"rotation key {key!r} is not an integer") from None
             if str(node) != key:
                 raise ParseError(f"rotation key {key!r} is not written as {str(node)!r}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import BipartiteGraph, Edge, reachable
 
@@ -119,10 +119,6 @@ class FaceWalk:
     def nodes(self) -> tuple[int, ...]:
         """Visited nodes in walk order (may repeat)."""
         return tuple(u for u, _ in self.steps)
-
-    def visits_all(self, nodes: Iterable[int]) -> bool:
-        here = set(self.nodes)
-        return all(v in here for v in nodes)
 
 
 def _face_walk(cycle: tuple[int, ...]) -> FaceWalk:
@@ -228,7 +224,12 @@ class Drawing:
         )
         object.__setattr__(self, "crossings", crossings)
         object.__setattr__(self, "rotation", rotation)
-        faces = _checked_faces(rotation, succ, self.node_count, self.segment_count)
+        faces = _walk_faces(rotation, succ)
+        expected = 2 - self.node_count + self.segment_count
+        if len(faces) != expected:
+            raise NotPlanarEmbedding(
+                f"face tracing found {len(faces)} faces, Euler's formula needs {expected}"
+            )
         object.__setattr__(self, "_faces", tuple(faces))
 
     def __reduce__(self):
@@ -322,33 +323,25 @@ def _validate_structure(
     """Raise the first structural defect of normalized ``crossings`` and
     ``rotation``, if any; else return the rotation's successor maps.
 
-    The maps' keys are the planarization's neighbour sets exactly when
-    the rotations list as many sides as the segments have and every side
-    of every segment is among them: the keys then hold at least every
-    side and at most every listed entry, so no entry is a repeat or a
-    stranger, and each dummy lists its four neighbours once.  Only when that fails is the planarization built, to name
-    the first node at fault.
+    One predicate decides the rotation: its keys are the int nodes
+    0..n-1, compared as sets only when the counts match, so a document
+    that claims a huge n costs time and memory bounded by len(rotation);
+    its entries are 2 * |segments| ints; and both sides of every segment
+    are keys of the successor maps, which are built only after the rest
+    passes.  That is exact: the maps' keys then hold at least every side
+    and at most every listed entry, so no entry is a repeat or a
+    stranger, and each node, dummies included, lists its planarization
+    neighbours once.  Only when it fails is the fault named, by
+    :func:`_rotation_fault`.
     """
     node_count = graph.vertex_count + len(crossings)
-    _check_rotation_nodes(rotation, node_count)
-    succ = _successors(rotation)
-    exact = (sum(map(len, rotation.values())) == 2 * (len(graph.edges) + 2 * len(crossings))
-             and {*map(type, chain.from_iterable(rotation.values()))} <= {int})
-    if exact:
-        crossed = _crossed(graph, crossings)
-        for e in graph.edges:
-            u, v = e
-            d = crossed.get(e)
-            if d is None:
-                if v not in succ[u] or u not in succ[v]:
-                    exact = False
-                    break
-            elif (d not in succ[u] or d not in succ[v]
-                  or u not in succ[d] or v not in succ[d]):
-                exact = False
-                break
-    if not exact:
-        raise _rotation_mismatch(graph, crossings, rotation)
+    entries = rotation.values()
+    if not ({*map(type, rotation)} <= {int}
+            and len(rotation) == node_count and rotation.keys() == set(range(node_count))
+            and sum(map(len, entries)) == 2 * (len(graph.edges) + 2 * len(crossings))
+            and {*map(type, chain.from_iterable(entries))} <= {int}
+            and _sides_present(graph, crossings, succ := _successors(rotation))):
+        raise _rotation_fault(graph, crossings, rotation)
 
     for dummy, c in enumerate(crossings, graph.vertex_count):
         order = rotation[dummy]
@@ -367,14 +360,49 @@ def _validate_structure(
     return succ
 
 
-def _rotation_mismatch(
+def _sides_present(
+    graph: BipartiteGraph,
+    crossings: Sequence[Crossing],
+    succ: Mapping[int, dict[int, int]],
+) -> bool:
+    """Whether both sides of every planarization segment are in ``succ``,
+    keyed by every node."""
+    crossed = _crossed(graph, crossings)
+    for e in graph.edges:
+        u, v = e
+        d = crossed.get(e)
+        if d is None:
+            if v not in succ[u] or u not in succ[v]:
+                return False
+        elif (d not in succ[u] or d not in succ[v]
+              or u not in succ[d] or v not in succ[d]):
+            return False
+    return True
+
+
+def _rotation_fault(
     graph: BipartiteGraph,
     crossings: Sequence[Crossing],
     rotation: Mapping[int, Sequence[int]],
 ) -> IncompleteRotation:
-    """The error naming the first node, in ``rotation``'s order, whose
+    """The error naming the first fault of a rotation that fails the check
+    in :func:`_validate_structure`: a node that is not an int, then missing
+    or extra nodes, then the first node, in ``rotation``'s order, whose
     rotation is not a cyclic order of its planarization neighbours' int
-    ids; one such node must exist."""
+    ids.  One of these must exist."""
+    if not {*map(type, rotation)} <= {int}:
+        stray = next(v for v in rotation if type(v) is not int)
+        return IncompleteRotation(f"rotation node {stray!r} is not an int")
+    node_count = graph.vertex_count + len(crossings)
+    nodes = range(node_count)
+    if not (len(rotation) == node_count and rotation.keys() == set(nodes)):
+        extra = sorted(v for v in rotation if v not in nodes)
+        missing = list(islice((v for v in nodes if v not in rotation), 5))
+        absent = node_count - (len(rotation) - len(extra))
+        return IncompleteRotation(
+            f"rotation nodes mismatch planarization ({absent} missing, "
+            f"first {missing}; {len(extra)} extra, first {extra[:5]})"
+        )
     adj = _planarization_adjacency(graph, crossings)
     for v, order in rotation.items():
         if (not {*map(type, order)} <= {int}
@@ -384,45 +412,6 @@ def _rotation_mismatch(
                 f"order of {sorted(adj[v])}"
             )
     raise AssertionError("the rotation matches the planarization")
-
-
-def _check_rotation_nodes(rotation: Mapping[int, Sequence[int]], node_count: int) -> None:
-    """Raise IncompleteRotation unless ``rotation`` is keyed by exactly the
-    int nodes 0..node_count-1.
-
-    Takes time and memory bounded by len(rotation), not by node_count,
-    which a document may claim to be huge.
-    """
-    if not {*map(type, rotation)} <= {int}:
-        stray = next(v for v in rotation if type(v) is not int)
-        raise IncompleteRotation(f"rotation node {stray!r} is not an int")
-    nodes = range(node_count)
-    if len(rotation) == node_count and rotation.keys() == set(nodes):
-        return
-    extra = sorted(v for v in rotation if v not in nodes)
-    missing = list(islice((v for v in nodes if v not in rotation), 5))
-    absent = node_count - (len(rotation) - len(extra))
-    raise IncompleteRotation(
-        f"rotation nodes mismatch planarization ({absent} missing, "
-        f"first {missing}; {len(extra)} extra, first {extra[:5]})"
-    )
-
-
-def _checked_faces(
-    rotation: Mapping[int, Sequence[int]],
-    succ: Mapping[int, dict[int, int]],
-    node_count: int,
-    segment_count: int,
-) -> list[tuple[int, ...]]:
-    """Trace the faces of the checked ``rotation`` as node cycles; raise
-    NotPlanarEmbedding on genus > 0."""
-    faces = _walk_faces(rotation, succ)
-    expected = 2 - node_count + segment_count
-    if len(faces) != expected:
-        raise NotPlanarEmbedding(
-            f"face tracing found {len(faces)} faces, Euler's formula needs {expected}"
-        )
-    return faces
 
 
 def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:

@@ -176,6 +176,16 @@ def test_non_canonical_rotation_key_is_parse_error(node, key, tmp_path):
     assert main(["verify", "--drawing", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key", [None, (1,)])
+def test_rotation_key_of_no_int_type_is_parse_error(key):
+    # Only a document built in Python can have a key that is not a str.
+    doc = documents.drawing_to_document(planar_k22_drawing())
+    doc["rotation"][key] = doc["rotation"].pop("1")
+    with pytest.raises(documents.ParseError) as info:
+        documents.drawing_from_document(doc)
+    assert str(info.value) == f"rotation key {key!r} is not an integer"
+
+
 def test_padded_rotation_key_beside_its_node_is_parse_error():
     # "01" would otherwise silently replace the rotation at node 1.
     doc = documents.drawing_to_document(planar_k22_drawing())

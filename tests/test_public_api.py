@@ -14,7 +14,7 @@ import onedisk
 
 PUBLIC_NAMES = [
     "AdjacentEdgesCross", "BipartiteGraph", "BoundsReport", "BudgetExceeded",
-    "ConstructError", "Crossing", "DisconnectedPlanarization", "Drawing",
+    "Crossing", "DisconnectedPlanarization", "Drawing",
     "DrawingError", "DuplicateEdge", "EdgeCrossedTwice", "FaceWalk",
     "GraphError", "IncompleteRotation", "NoOneDiskFace",
     "NonAlternatingDummy", "NotPlanarEmbedding", "OutOfDomain",
