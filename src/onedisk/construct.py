@@ -1,28 +1,23 @@
 """Constructions that realize the extremal edge counts.
 
-Two procedures live here.  The first builds, for part sizes x <= y with
-y >= 3(x-2), a bipartite graph together with a drawing that has every X
-vertex on one face and exactly 3x + 2y - 6 edges: a maximal outerplanar
-scaffold on the X vertices is triangulated, a fixed crossing gadget is
-placed inside every inner triangle, the scaffold edges are discarded,
-and leftover Y vertices are nested onto one hull pair.  The second takes
-any drawing with an all-X face and glues a mirror image to it along the
-X vertices, doubling the edge count while keeping 1-planarity.
+Two procedures live here.  ``construct_extremal`` builds, for part sizes
+x <= y with y >= 3(x-2), a bipartite graph and a drawing with every X
+vertex on one face and exactly 3x + 2y - 6 edges: it triangulates a
+convex polygon on the X vertices (the scaffold), places the crossing
+gadget inside every triangle, discards the scaffold's own edges and
+nests the leftover Y vertices onto one hull pair.  ``double`` glues a
+mirror image of any drawing with an all-X face to it along the X
+vertices, doubling the edge count while keeping 1-planarity.
 
 No coordinates are involved.  The scaffold's rotation system comes from
-the cyclic order of the polygon.  Each gadget is a fixed rotation
-template, and at each corner of its triangle it fills one angle of the
-scaffold with a wedge of new neighbours; the nested vertices fill the
-outer angles at hull vertices 0 and 1.  Each X vertex's rotation is its
-wedges read once in the scaffold's cyclic order.  The part sizes are
-known before the first gadget, so every Y vertex and dummy gets its final
-id when it is made.  The builder's state is plain attributes
-(``rotation``, ``wedges``, ``edges``, ``crossings`` and the Y counter
-``next_y``), which the gadgets and the nested vertices write directly.
-``build_drawing`` then checks the result like any other drawing, so the
-staging helpers (``maximal_outerplanar``, ``DrawingBuilder``,
-``insert_b3``) guard nothing themselves and are not exported from the
-package.
+the cyclic order of the polygon.  Each new node's rotation is fixed when
+the node is made.  At a scaffold vertex, each gadget and the nested
+vertices fill one angle of the scaffold with a wedge of new neighbours,
+and the vertex's rotation is its wedges read once in the scaffold's
+cyclic order.  ``build_drawing`` then checks the result like any other
+drawing, so the staging helpers (``maximal_outerplanar``,
+``DrawingBuilder``, ``insert_b3``) guard nothing themselves and are not
+exported from the package.
 """
 
 from __future__ import annotations
@@ -123,14 +118,10 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
     }
 
     faces = rotation_faces(rotation)
-    if len(faces) != k - 1:
-        raise RuntimeError(f"scaffold tracing produced {len(faces)} faces for k={k}")
     # The hull side of edge {0, k-1} traversed k-1 -> 0 lies on the unbounded
     # face under the ccw rotation convention used throughout.
     outer = next(f for f in faces if (k - 1, 0) in f.steps)
     triangles = tuple(f for f in faces if f is not outer)
-    if any(len(t) != 3 for t in triangles):
-        raise RuntimeError("scaffold has a non-triangular inner face")
     return OuterplanarSkeleton(k, tuple(edges), rotation, outer, triangles)
 
 
@@ -139,42 +130,35 @@ def maximal_outerplanar(k: int, strategy: str = "fan") -> OuterplanarSkeleton:
 # ---------------------------------------------------------------------------
 
 
-# The gadget inside a triangle with corners c0, c1, c2 (in the walk order
-# of the triangle's face): interior vertices b0, b1, b2, each joined to
-# all three corners.  Crossing j pairs the edges _GADGET_CROSSING_PAIRS[j]
-# (as (interior, corner) indices) at dummy dj; the diagonally opposite
-# interior-corner edges stay clean.
-_GADGET_CROSSING_PAIRS = (
-    ((1, 0), (0, 1)),
-    ((2, 0), (0, 2)),
-    ((1, 2), (2, 1)),
-)
-# Counterclockwise rotations at the gadget's own nodes.
-_GADGET_ROTATIONS = {
-    "b0": "d0 c0 d1",
-    "b1": "c1 d0 d2",
-    "b2": "d2 d1 c2",
-    "d0": "b1 c1 c0 b0",
-    "d1": "b0 c0 c2 b2",
-    "d2": "c1 b1 b2 c2",
+# The B3 gadget inside a triangle whose face walk visits corners c0, c1,
+# c2: Y vertices b0, b1, b2, each joined to all three corners, and the
+# dummies d0, d1, d2 of its three crossings.  Each entry is a node's
+# counterclockwise rotation; corner ci's is its wedge, which fills the
+# angle after c(i-1) in ci's scaffold rotation.  A dummy's rotation
+# alternates the edges of its crossing, so entries 0 and 2 are one crossed
+# edge and entries 1 and 3 the other; the other three b-c edges stay clean.
+_B3 = {
+    "c0": "d1 b0 d0", "c1": "d0 b1 d2", "c2": "d2 b2 d1",
+    "b0": "d0 c0 d1", "b1": "c1 d0 d2", "b2": "d2 d1 c2",
+    "d0": "b1 c1 c0 b0", "d1": "b0 c0 c2 b2", "d2": "c1 b1 b2 c2",
 }
-# Corner ci's wedge fills the angle that follows c(i-1) in its rotation.
-_GADGET_WEDGES = ("d1 b0 d0", "d0 b1 d2", "d2 b2 d1")
+# The same rotations as slots into the gadget's node ids, listed in
+# _B3's key order.
+_B3_SLOTS = tuple(tuple(map(list(_B3).index, order.split())) for order in _B3.values())
 
 
 class DrawingBuilder:
-    """Drawing under construction: new nodes and the wedges they fill.
+    """Drawing under construction on a scaffold, with its final Y count.
 
-    Takes the scaffold and the final Y count, so every node gets its
-    final id when it is made: Y vertices from ``scaffold_count`` on
-    (``next_y`` is the next free one), the dummy of crossing i at
-    ``scaffold_count + y_count + i``.  The state is plain attributes that
-    gadgets and nested vertices write directly: ``rotation`` (each new
-    node's cyclic order), ``wedges``, ``edges`` and ``crossings``.
-    ``wedges[c, p]`` lists the new neighbours of scaffold vertex c in the
-    angle that follows scaffold neighbour p in c's rotation.  The
-    scaffold edges only order the wedges; they never enter the finished
-    bipartite drawing.
+    Every node gets its final id when it is made: Y vertices from
+    ``scaffold_count`` on (``next_y`` is the next free one) and, as in
+    every Drawing, the dummy of crossings[i] at the vertex count plus i.
+    Gadgets and nested vertices write the plain attributes directly:
+    ``rotation`` (each new node's cyclic order), ``edges``, ``crossings``
+    and ``wedges``.  ``wedges[c, p]`` lists the new neighbours of
+    scaffold vertex c in the angle that follows scaffold neighbour p in
+    c's rotation.  The scaffold edges only order the wedges; they never
+    enter the finished bipartite drawing.
     """
 
     def __init__(self, scaffold: OuterplanarSkeleton, y_count: int):
@@ -183,15 +167,9 @@ class DrawingBuilder:
         self.y_count = y_count
         self.next_y = self.scaffold_count
         self.rotation: dict[int, tuple[int, ...]] = {}
-        self.wedges: dict[tuple[int, int], list[int]] = {}
+        self.wedges: dict[tuple[int, int], tuple[int, ...]] = {}
         self.edges: list[Edge] = []
         self.crossings: list[tuple[Edge, Edge]] = []
-
-    def add_crossing(self, edge_a: Edge, edge_b: Edge) -> int:
-        """Record a crossing; returns its dummy node."""
-        dummy = self.scaffold_count + self.y_count + len(self.crossings)
-        self.crossings.append((edge_a, edge_b))
-        return dummy
 
     def derive_rotation(self) -> dict[int, tuple[int, ...]]:
         """The rotation system so far: each scaffold vertex's wedges in the
@@ -213,26 +191,19 @@ class DrawingBuilder:
 
 
 def insert_b3(builder: DrawingBuilder, triangle: FaceWalk) -> None:
-    """Place the crossing gadget inside one inner triangle of the scaffold.
-
-    Adds three Y vertices joined to all three corners (nine edges) and
-    the gadget's three crossings, and fills each corner's angle inside
-    the triangle with the gadget's wedge.
-    """
+    """Place the B3 gadget inside one inner triangle of the scaffold: its
+    three Y vertices, nine edges, three crossings and three wedges."""
     corners = triangle.nodes
-    interior = tuple(range(builder.next_y, builder.next_y + 3))
+    y = builder.next_y
     builder.next_y += 3
-    builder.edges += [(c, b) for b in interior for c in corners]
-    dummies = tuple(
-        builder.add_crossing((corners[ca], interior[ba]), (corners[cb], interior[bb]))
-        for (ba, ca), (bb, cb) in _GADGET_CROSSING_PAIRS
-    )
-
-    ids = dict(zip("c0 c1 c2 b0 b1 b2 d0 d1 d2".split(), corners + interior + dummies))
-    for name, order in _GADGET_ROTATIONS.items():
-        builder.rotation[ids[name]] = tuple(ids[t] for t in order.split())
-    for i, wedge in enumerate(_GADGET_WEDGES):
-        builder.wedges[corners[i], corners[i - 1]] = [ids[t] for t in wedge.split()]
+    dummy = builder.scaffold_count + builder.y_count + len(builder.crossings)
+    ids = (*corners, y, y + 1, y + 2, dummy, dummy + 1, dummy + 2)
+    orders = [tuple(ids[i] for i in slots) for slots in _B3_SLOTS]
+    builder.edges += [(c, b) for b in ids[3:6] for c in corners]
+    builder.crossings += [((a0, a1), (b0, b1)) for a0, b0, a1, b1 in orders[6:]]
+    builder.rotation.update(zip(ids[3:], orders[3:]))
+    for i, c in enumerate(corners):
+        builder.wedges[c, corners[i - 1]] = orders[i]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +229,7 @@ def _attach_nested_pair(builder: DrawingBuilder, count: int) -> None:
     the unbounded face.  They fill the outer angles at 0 (after hull
     vertex x-1) and at 1 (after 0).
     """
-    added = list(range(builder.next_y, builder.next_y + count))
+    added = tuple(range(builder.next_y, builder.next_y + count))
     builder.next_y += count
     builder.edges += [(v, w) for w in added for v in (0, 1)]
     builder.rotation.update((w, (0, 1)) for w in added)
@@ -347,16 +318,11 @@ def double(d: Drawing) -> DoublingResult:
         raise NoOneDiskFace("drawing has no face incident to every X vertex")
     n = x + y
     star_n = x + 2 * y
-
-    def keep(v: int) -> int:
-        return v if v < n else star_n + (v - n)
-
-    def mirror(v: int) -> int:
-        if v < x:
-            return v
-        if v < n:
-            return v + y
-        return star_n + c + (v - n)
+    # Each node of the planarization mapped to its id in the original copy
+    # and in the mirror copy: X vertices are shared, Y vertices and
+    # dummies are not, and the dummies follow all 2y Y vertices.
+    keep = [*range(n), *range(star_n, star_n + c)]
+    mirror = [*range(x), *range(n, n + y), *range(star_n + c, star_n + 2 * c)]
 
     def mirror_edge(e: Edge) -> Edge:
         return (e[0], e[1] + y)
@@ -369,15 +335,15 @@ def double(d: Drawing) -> DoublingResult:
 
     rot: dict[int, tuple[int, ...]] = {}
     for v in range(x, n + c):
-        rot[keep(v)] = tuple(keep(w) for w in d.rotation[v])
-        rot[mirror(v)] = tuple(mirror(w) for w in reversed(d.rotation[v]))
+        rot[keep[v]] = tuple(keep[w] for w in d.rotation[v])
+        rot[mirror[v]] = tuple(mirror[w] for w in reversed(d.rotation[v]))
     gaps = _disk_gaps(d._faces[disk], x)
     for v in range(x):
         r = d.rotation[v]
         i = r.index(gaps[v])
         linear = r[i:] + r[:i]
-        rot[v] = tuple(keep(w) for w in linear) + tuple(
-            mirror(w) for w in reversed(linear)
+        rot[v] = tuple(keep[w] for w in linear) + tuple(
+            mirror[w] for w in reversed(linear)
         )
 
     return DoublingResult(g_star, build_drawing(g_star, pairs, rot))

@@ -326,18 +326,19 @@ def _validate_structure(
     One predicate decides the rotation: its keys are the int nodes
     0..n-1, compared as sets only when the counts match, so a document
     that claims a huge n costs time and memory bounded by len(rotation);
-    its entries are 2 * |segments| ints; and both sides of every segment
-    are keys of the successor maps, which are built only after the rest
-    passes.  That is exact: the maps' keys then hold at least every side
-    and at most every listed entry, so no entry is a repeat or a
-    stranger, and each node, dummies included, lists its planarization
-    neighbours once.  Only when it fails is the fault named, by
-    :func:`_rotation_fault`.
+    its values are tuples or lists, holding 2 * |segments| ints in all;
+    and both sides of every segment are keys of the successor maps, which
+    are built only after the rest passes.  That is exact: the maps' keys
+    then hold at least every side and at most every listed entry, so no
+    entry is a repeat or a stranger, and each node, dummies included,
+    lists its planarization neighbours once.  Only when it fails is the
+    fault named, by :func:`_rotation_fault`.
     """
     node_count = graph.vertex_count + len(crossings)
     entries = rotation.values()
     if not ({*map(type, rotation)} <= {int}
             and len(rotation) == node_count and rotation.keys() == set(range(node_count))
+            and {*map(type, entries)} <= {tuple, list}
             and sum(map(len, entries)) == 2 * (len(graph.edges) + 2 * len(crossings))
             and {*map(type, chain.from_iterable(entries))} <= {int}
             and _sides_present(graph, crossings, succ := _successors(rotation))):
@@ -388,8 +389,8 @@ def _rotation_fault(
     """The error naming the first fault of a rotation that fails the check
     in :func:`_validate_structure`: a node that is not an int, then missing
     or extra nodes, then the first node, in ``rotation``'s order, whose
-    rotation is not a cyclic order of its planarization neighbours' int
-    ids.  One of these must exist."""
+    rotation is not a tuple or list, or not a cyclic order of its
+    planarization neighbours' int ids.  One of these must exist."""
     if not {*map(type, rotation)} <= {int}:
         stray = next(v for v in rotation if type(v) is not int)
         return IncompleteRotation(f"rotation node {stray!r} is not an int")
@@ -405,6 +406,10 @@ def _rotation_fault(
         )
     adj = _planarization_adjacency(graph, crossings)
     for v, order in rotation.items():
+        if type(order) not in (tuple, list):
+            return IncompleteRotation(
+                f"rotation at node {v} is of type {type(order).__name__}, not a tuple or list"
+            )
         if (not {*map(type, order)} <= {int}
                 or len(set(order)) != len(order) or set(order) != adj[v]):
             return IncompleteRotation(

@@ -108,6 +108,11 @@ def test_wrong_schema_is_parse_error(tmp_path):
         od.load_graph(path)
 
 
+def test_graph_document_that_is_no_object_is_parse_error():
+    with pytest.raises(documents.ParseError, match="graph document must be an object"):
+        documents.graph_from_document([])
+
+
 def test_missing_file_is_parse_error(tmp_path):
     with pytest.raises(documents.ParseError):
         od.load_graph(tmp_path / "absent.json")
@@ -241,7 +246,9 @@ def _drop_rotation(doc):
     (_rename_rotation_key, "rotation key 'a'"),
     (_drop_rotation, "missing key 'rotation'"),
     (lambda doc: [], "must be an object"),
-], ids=["crossing_999", "crossing_minus_1", "rotation_key_a", "no_rotation", "top_level_list"])
+    (lambda doc: {**doc, "schema": "onedisk-drawing/9"}, "expected schema 'onedisk-drawing/1'"),
+], ids=["crossing_999", "crossing_minus_1", "rotation_key_a", "no_rotation", "top_level_list",
+        "wrong_schema"])
 def test_malformed_drawing_document_is_parse_error(corrupt, match, tmp_path, capsys):
     _, d = od.construct_extremal(3, 3)
     doc = corrupt(documents.drawing_to_document(d))

@@ -238,6 +238,20 @@ def test_incomplete_rotation_rejected():
         od.build_drawing(g, [], {0: (2, 3), 1: (3, 2), 2: (0, 1), 3: (0, 0)})
 
 
+@pytest.mark.parametrize("value", [5, {2, 3}, range(2, 4)], ids=["int", "set", "range"])
+def test_rotation_value_that_is_no_sequence_is_incomplete_rotation(value):
+    rotation = {0: value, 1: (3, 2), 2: (0, 1), 3: (0, 1)}
+    with pytest.raises(od.IncompleteRotation) as info:
+        od.build_drawing(k22(), [], rotation)
+    assert str(info.value) == (
+        f"rotation at node 0 is of type {type(value).__name__}, not a tuple or list"
+    )
+    # A fault of the node keys is named first.
+    del rotation[3]
+    with pytest.raises(od.IncompleteRotation, match="rotation nodes mismatch"):
+        od.build_drawing(k22(), [], rotation)
+
+
 def _bool_key_and_missing_node(rotation):
     # True == 1, so the key set alone would not tell True from node 1.
     rotation[True] = rotation.pop(1)
@@ -507,6 +521,12 @@ def _cross_missing_edge(d, rng):
     return {"crossings": d.crossings + (((0, 1), e),)}
 
 
+def _cross_missing_second_edge(d, rng):
+    # No vertex has the id vertex_count, so only the second edge is missing.
+    e = rng.choice(d.graph.edges)
+    return {"crossings": d.crossings + ((e, (e[0], d.graph.vertex_count)),)}
+
+
 def _cross_non_pair(d, rng):
     e, f = rng.choice(d.crossings)
     return {"crossings": d.crossings + ((e + f[:1], f),)}
@@ -538,6 +558,7 @@ def _bool_crossing(d, rng):
     (_unalternate, od.NonAlternatingDummy),
     (_cross_twice, od.EdgeCrossedTwice),
     (_cross_missing_edge, od.DrawingError),
+    (_cross_missing_second_edge, od.DrawingError),
     (_cross_non_pair, od.DrawingError),
     (_float_crossing, od.DrawingError),
     (_bool_crossing, od.DrawingError),

@@ -46,3 +46,20 @@ def test_every_benchmark_layer_resolves():
         for part in qualname.split("."):
             target = getattr(target, part)
         assert callable(target), (module, qualname)
+
+
+def test_readme_quick_tour_runs_as_commented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    for comment in ("27 edges", "# 9", "# 54 == huang_max_edges(5, 18)", "# True",
+                    "max_edges == 6"):
+        assert comment in block, comment
+    scope: dict = {}
+    exec(block, scope)
+    od, g, d, star = scope["od"], scope["g"], scope["d"], scope["star"]
+    assert (od.edge_count(g), od.crossing_count(d)) == (27, 9)
+    assert od.find_one_disk_face(d) is not None
+    assert od.edge_count(star.graph_star) == 54 == od.huang_max_edges(5, 18)
+    assert od.check(g, d).entry("one_disk").tight is True
+    assert scope["out"].max_edges == 6
