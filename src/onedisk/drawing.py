@@ -8,6 +8,13 @@ of its incident segments.  Because each edge is crossed at most once and
 crossing edges share no endpoint, the planarization is itself a simple
 graph, so a rotation is simply a cyclic sequence of neighbor node ids.
 
+The segment rule: an uncrossed edge (u, v) is the one segment (u, v),
+and a crossed edge (u, v) whose crossing has dummy d is the two segments
+(u, d) and (v, d).  In this module :func:`_segments` alone applies it,
+reading the map from crossed edges to dummies that a Drawing builds
+once; the structure check reads its list, and so do the planarization's
+neighbour sets that name a rotation's fault and that the search embeds.
+
 Faces are recovered by the standard successor walk: after arriving at v
 along segment (u, v), leave along (v, w) where w follows u in the cyclic
 order at v.  A connected rotation system describes a sphere drawing
@@ -164,10 +171,14 @@ def _walk_faces(
 def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
-    Requires a symmetric adjacency (u in rotation[v] iff v in rotation[u])
-    with no repeated neighbors; raises IncompleteRotation otherwise.
-    Every directed segment side lands in exactly one returned walk.
+    Requires int nodes, each with a tuple or list of int neighbors, and a
+    symmetric adjacency (u in rotation[v] iff v in rotation[u]) with no
+    repeated neighbors; raises IncompleteRotation otherwise, naming a type
+    fault as :class:`Drawing` does.  Every directed segment side lands in
+    exactly one returned walk.
     """
+    if not _well_typed(rotation):
+        raise _type_fault(rotation)
     succ = _successors(rotation)
     for v, nbrs in rotation.items():
         if len(succ[v]) != len(nbrs):
@@ -250,28 +261,34 @@ class Drawing:
 
 
 def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ...]:
-    """The crossings in normal form; raises DrawingError on an endpoint
-    that is not an int (bools included), then on a missing edge, then
-    AdjacentEdgesCross, then EdgeCrossedTwice."""
+    """The crossings in normal form.
+
+    The crossing errors come in this order.  First, when any crossing
+    holds an id that is not an int (bools included) or an item that is not
+    iterable, DrawingError naming the first crossing that is not a pair of
+    edges, each a pair of int ids.  Then, crossing by crossing,
+    DrawingError for a crossing that is not a pair of pairs, DrawingError
+    for a missing edge, and AdjacentEdgesCross.  Last, EdgeCrossedTwice,
+    which :func:`_validate_structure` raises.
+    """
     crossings = [*crossings]
-    ends = chain.from_iterable(chain.from_iterable(crossings))
-    if not {*map(type, ends)} <= {int}:
-        i, c = next((i, c) for i, c in enumerate(crossings)
-                    if not {*map(type, chain.from_iterable(c))} <= {int})
-        raise DrawingError(f"crossing {i} has a non-int endpoint: {c}")
+    try:
+        typed = {*map(type, chain.from_iterable(chain.from_iterable(crossings)))} <= {int}
+    except TypeError:  # a crossing or an edge that is not iterable
+        typed = False
+    if not typed:
+        raise _crossing_fault(crossings)
     edge_set = set(graph.edges)
     out: list[Crossing] = []
-    for i, (ea, eb) in enumerate(crossings):
+    for i, c in enumerate(crossings):
         try:
-            (a0, a1), (b0, b1) = ea, eb
-        except ValueError:
-            # An edge that is no pair: sorted as it is, it is missing below.
-            ea, eb = sorted((tuple(sorted(ea)), tuple(sorted(eb))))
-        else:
-            ea = (a0, a1) if a0 <= a1 else (a1, a0)
-            eb = (b0, b1) if b0 <= b1 else (b1, b0)
-            if eb < ea:
-                ea, eb = eb, ea
+            (a0, a1), (b0, b1) = c
+        except ValueError:  # a crossing or an edge that is not a pair
+            raise _crossing_fault(crossings) from None
+        ea = (a0, a1) if a0 <= a1 else (a1, a0)
+        eb = (b0, b1) if b0 <= b1 else (b1, b0)
+        if eb < ea:
+            ea, eb = eb, ea
         if ea not in edge_set:
             raise DrawingError(f"crossing {i} references missing edge {ea}")
         if eb not in edge_set:
@@ -279,14 +296,20 @@ def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ..
         if ea[0] in eb or ea[1] in eb:
             raise AdjacentEdgesCross(f"edges {ea} and {eb} share an endpoint")
         out.append(Crossing(ea, eb))
-    if len({e for c in out for e in c}) != 2 * len(out):
-        crossed: set[Edge] = set()
-        for c in out:
-            for e in c:
-                if e in crossed:
-                    raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
-                crossed.add(e)
     return tuple(out)
+
+
+def _crossing_fault(crossings: Sequence) -> DrawingError:
+    """The error naming the first crossing that is not a pair of edges,
+    each a pair of int ids.  One such crossing must exist."""
+    for i, c in enumerate(crossings):
+        try:
+            (a0, a1), (b0, b1) = c
+        except (TypeError, ValueError):
+            return DrawingError(f"crossing {i} is not a pair of edges, each a pair of ids: {c!r}")
+        if not {*map(type, (a0, a1, b0, b1))} <= {int}:
+            return DrawingError(f"crossing {i} has a non-int endpoint: {c}")
+    raise AssertionError("every crossing is a pair of pairs of ints")
 
 
 def _crossed(graph: BipartiteGraph, crossings: Sequence[Crossing]) -> dict[Edge, int]:
@@ -295,23 +318,28 @@ def _crossed(graph: BipartiteGraph, crossings: Sequence[Crossing]) -> dict[Edge,
     return {e: n + i for i, c in enumerate(crossings) for e in c}
 
 
+def _segments(graph: BipartiteGraph, crossed: Mapping[Edge, int]) -> list[Edge]:
+    """The planarization's segments as node pairs, by the segment rule of
+    the module doc; ``crossed`` maps each crossed edge to its dummy."""
+    segments = []
+    for e in graph.edges:
+        d = crossed.get(e)
+        if d is None:
+            segments.append(e)
+        else:
+            segments.append((e[0], d))
+            segments.append((e[1], d))
+    return segments
+
+
 def _planarization_adjacency(
     graph: BipartiteGraph, crossings: Sequence[Crossing]
 ) -> dict[int, set[int]]:
     """Neighbor sets of the planarization of normalized ``crossings``."""
-    crossed = _crossed(graph, crossings)
     adj = {v: set() for v in range(graph.vertex_count + len(crossings))}
-    for e in graph.edges:
-        u, v = e
-        if e in crossed:
-            d = crossed[e]
-            adj[u].add(d)
-            adj[d].add(u)
-            adj[v].add(d)
-            adj[d].add(v)
-        else:
-            adj[u].add(v)
-            adj[v].add(u)
+    for u, v in _segments(graph, _crossed(graph, crossings)):
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -323,25 +351,32 @@ def _validate_structure(
     """Raise the first structural defect of normalized ``crossings`` and
     ``rotation``, if any; else return the rotation's successor maps.
 
-    One predicate decides the rotation: its keys are the int nodes
-    0..n-1, compared as sets only when the counts match, so a document
-    that claims a huge n costs time and memory bounded by len(rotation);
-    its values are tuples or lists, holding 2 * |segments| ints in all;
-    and both sides of every segment are keys of the successor maps, which
-    are built only after the rest passes.  That is exact: the maps' keys
-    then hold at least every side and at most every listed entry, so no
-    entry is a repeat or a stranger, and each node, dummies included,
-    lists its planarization neighbours once.  Only when it fails is the
-    fault named, by :func:`_rotation_fault`.
+    EdgeCrossedTwice comes first, decided by the size of the map from
+    crossed edges to dummies, which is built once and gives the segment
+    list.  Then one predicate decides the rotation: its keys are the int
+    nodes 0..n-1, compared as sets only when the counts match, so a
+    document that claims a huge n costs time and memory bounded by
+    len(rotation); its values are tuples or lists, holding 2 * |segments|
+    ints in all; and both sides of every segment are keys of the successor
+    maps, which are built only after the rest passes.  That is exact: the
+    maps' keys then hold at least every side and at most every listed
+    entry, so no entry is a repeat or a stranger, and each node, dummies
+    included, lists its planarization neighbours once.  Only when it fails
+    is the fault named, by :func:`_rotation_fault`.
     """
+    crossed = _crossed(graph, crossings)
+    if len(crossed) != 2 * len(crossings):
+        seen: set[Edge] = set()
+        for e in chain.from_iterable(crossings):
+            if e in seen:
+                raise EdgeCrossedTwice(f"edge {e} appears in more than one crossing")
+            seen.add(e)
+    segments = _segments(graph, crossed)
     node_count = graph.vertex_count + len(crossings)
-    entries = rotation.values()
-    if not ({*map(type, rotation)} <= {int}
+    if not (_well_typed(rotation)
             and len(rotation) == node_count and rotation.keys() == set(range(node_count))
-            and {*map(type, entries)} <= {tuple, list}
-            and sum(map(len, entries)) == 2 * (len(graph.edges) + 2 * len(crossings))
-            and {*map(type, chain.from_iterable(entries))} <= {int}
-            and _sides_present(graph, crossings, succ := _successors(rotation))):
+            and sum(map(len, rotation.values())) == 2 * len(segments)
+            and _sides_present(segments, succ := _successors(rotation))):
         raise _rotation_fault(graph, crossings, rotation)
 
     for dummy, c in enumerate(crossings, graph.vertex_count):
@@ -361,22 +396,10 @@ def _validate_structure(
     return succ
 
 
-def _sides_present(
-    graph: BipartiteGraph,
-    crossings: Sequence[Crossing],
-    succ: Mapping[int, dict[int, int]],
-) -> bool:
-    """Whether both sides of every planarization segment are in ``succ``,
-    keyed by every node."""
-    crossed = _crossed(graph, crossings)
-    for e in graph.edges:
-        u, v = e
-        d = crossed.get(e)
-        if d is None:
-            if v not in succ[u] or u not in succ[v]:
-                return False
-        elif (d not in succ[u] or d not in succ[v]
-              or u not in succ[d] or v not in succ[d]):
+def _sides_present(segments: Sequence[Edge], succ: Mapping[int, dict[int, int]]) -> bool:
+    """Whether both sides of every segment are in ``succ``, keyed by every node."""
+    for u, v in segments:
+        if v not in succ[u] or u not in succ[v]:
             return False
     return True
 
@@ -392,8 +415,7 @@ def _rotation_fault(
     rotation is not a tuple or list, or not a cyclic order of its
     planarization neighbours' int ids.  One of these must exist."""
     if not {*map(type, rotation)} <= {int}:
-        stray = next(v for v in rotation if type(v) is not int)
-        return IncompleteRotation(f"rotation node {stray!r} is not an int")
+        return _type_fault(rotation)
     node_count = graph.vertex_count + len(crossings)
     nodes = range(node_count)
     if not (len(rotation) == node_count and rotation.keys() == set(nodes)):
@@ -407,9 +429,8 @@ def _rotation_fault(
     adj = _planarization_adjacency(graph, crossings)
     for v, order in rotation.items():
         if type(order) not in (tuple, list):
-            return IncompleteRotation(
-                f"rotation at node {v} is of type {type(order).__name__}, not a tuple or list"
-            )
+            # The nodes before v passed the checks below, so this names v.
+            return _type_fault(rotation)
         if (not {*map(type, order)} <= {int}
                 or len(set(order)) != len(order) or set(order) != adj[v]):
             return IncompleteRotation(
@@ -417,6 +438,32 @@ def _rotation_fault(
                 f"order of {sorted(adj[v])}"
             )
     raise AssertionError("the rotation matches the planarization")
+
+
+def _well_typed(rotation: Mapping) -> bool:
+    """Whether ``rotation``'s nodes are ints (bools excluded), each with a
+    tuple or list of ints; :func:`_type_fault` names the first fault."""
+    entries = rotation.values()
+    return ({*map(type, rotation)} <= {int} and {*map(type, entries)} <= {tuple, list}
+            and {*map(type, chain.from_iterable(entries))} <= {int})
+
+
+def _type_fault(rotation: Mapping) -> IncompleteRotation:
+    """The error naming the first type fault of ``rotation``: a node that
+    is not an int, then the first node, in ``rotation``'s order, whose
+    rotation is not a tuple or list, or lists an id that is not an int.
+    One of these must exist."""
+    if not {*map(type, rotation)} <= {int}:
+        stray = next(v for v in rotation if type(v) is not int)
+        return IncompleteRotation(f"rotation node {stray!r} is not an int")
+    for v, order in rotation.items():
+        if type(order) not in (tuple, list):
+            return IncompleteRotation(
+                f"rotation at node {v} is of type {type(order).__name__}, not a tuple or list"
+            )
+        if not {*map(type, order)} <= {int}:
+            return IncompleteRotation(f"rotation at node {v} lists {tuple(order)}, expected int ids")
+    raise AssertionError("the rotation's nodes and ids are ints")
 
 
 def build_drawing(graph: BipartiteGraph, crossings, rotation) -> Drawing:

@@ -35,11 +35,12 @@ class VertexOutOfRange(GraphError):
 class BipartiteGraph:
     """Immutable simple graph in which every edge joins an X and a Y vertex.
 
-    Checked when it is made: a part size that is not a positive int, a
-    loop, a duplicate edge, an edge inside one part or an endpoint that is
-    not an int in range raises a GraphError subclass (a bool is not an
-    int here).  ``edges`` may give each pair in either order; it is stored
-    sorted, X endpoint first, so equal edge sets compare equal.
+    Checked when it is made: a part size that is not a positive int, an
+    edge that is not a pair, a loop, a duplicate edge, an edge inside one
+    part or an endpoint that is not an int in range raises a GraphError
+    (a bool is not an int here).  ``edges`` may give each pair in either
+    order; it is stored sorted, X endpoint first, so equal edge sets
+    compare equal.
     """
 
     x_count: int
@@ -54,11 +55,15 @@ class BipartiteGraph:
             raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
         total = x_count + y_count
         edges = tuple(self.edges)
-        # A good edge list passes these three checks; only a bad one is
-        # walked again, to name its first bad edge.
-        if not {*map(type, chain.from_iterable(edges))} <= {int}:
+        # A good edge list passes these checks; only a bad one is walked
+        # again, to name its first bad edge.
+        try:
+            typed = {*map(type, chain.from_iterable(edges))} <= {int}
+            normalized = [(u, v) if u <= v else (v, u) for u, v in edges]
+        except (TypeError, ValueError):  # an edge that is not a pair of ids
+            typed = False
+        if not typed:
             _raise_first_bad_edge(x_count, total, edges)
-        normalized = [(u, v) if u <= v else (v, u) for u, v in edges]
         for lo, hi in normalized:
             if not 0 <= lo < x_count <= hi < total:
                 _raise_first_bad_edge(x_count, total, edges)
@@ -81,11 +86,15 @@ class BipartiteGraph:
 
 
 def _raise_first_bad_edge(x_count: int, total: int, edges) -> NoReturn:
-    """Raise the GraphError of the first edge that has an endpoint that is
-    not an int, is out of range, inside one part, or a repeat of an earlier
-    edge."""
+    """Raise the GraphError of the first edge that is not a pair, or has an
+    endpoint that is not an int, is out of range, inside one part, or a
+    repeat of an earlier edge."""
     seen: set[Edge] = set()
-    for u, v in edges:
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
         if type(u) is not int or type(v) is not int:
             raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < total and 0 <= v < total):

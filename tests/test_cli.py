@@ -291,6 +291,18 @@ def test_bounds_rejects_nonpositive_sizes(capsys):
     assert captured.out == "" and "must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("search --x abc --y 3", "argument --x: expected a positive integer, got 'abc'"),
+    ("search --x 2 --y 3 --budget abc", "argument --budget: expected a positive number, got 'abc'"),
+    ("bounds --x 3 --y two", "argument --y: expected a positive integer, got 'two'"),
+], ids=["search_x", "search_budget", "bounds_y"])
+def test_number_that_does_not_parse_names_what_is_expected(argv, message, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "_positive" not in captured.err
+
+
 # Run in order in one directory: later cases read the files earlier ones
 # write.  Every case's exit code, stdout and stderr is pinned.
 _PINNED_CASES = [

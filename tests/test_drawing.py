@@ -92,6 +92,20 @@ def test_tracer_raises_incomplete_rotation(rotation):
     assert isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("rotation, message", [
+    ({0: 5, 1: (0,)}, "rotation at node 0 is of type int, not a tuple or list"),
+    ({0: {1}, 1: (0,)}, "rotation at node 0 is of type set, not a tuple or list"),
+    ({0: (1,), 1: (0,), "a": ()}, "rotation node 'a' is not an int"),
+    ({0: (2,), 2: (0,), True: ()}, "rotation node True is not an int"),
+    ({0: (1.0,), 1: (0,)}, "rotation at node 0 lists (1.0,), expected int ids"),
+    ({0: (1,), 1: (False,)}, "rotation at node 1 lists (False,), expected int ids"),
+], ids=["int", "set", "str_node", "bool_node", "float_id", "bool_id"])
+def test_tracer_applies_the_drawing_type_rule(rotation, message):
+    with pytest.raises(od.IncompleteRotation) as info:
+        rotation_faces(rotation)
+    assert str(info.value) == message
+
+
 def test_tracer_k5_rotation_never_planar():
     # Any rotation system of K5 misses Euler's count F = 2 - 5 + 10 = 7.
     rotation = {v: tuple(u for u in range(5) if u != v) for v in range(5)}
@@ -532,6 +546,15 @@ def _cross_non_pair(d, rng):
     return {"crossings": d.crossings + ((e + f[:1], f),)}
 
 
+def _cross_bare_edge(d, rng):
+    # An edge given where a crossing belongs.
+    return {"crossings": d.crossings + (rng.choice(d.graph.edges),)}
+
+
+def _cross_one_edge(d, rng):
+    return {"crossings": d.crossings + ((rng.choice(d.graph.edges),),)}
+
+
 def _float_crossing(d, rng):
     # (0.0, 3.0) == (0, 3), so the edge lookup alone lets floats through.
     i = rng.randrange(len(d.crossings))
@@ -560,6 +583,8 @@ def _bool_crossing(d, rng):
     (_cross_missing_edge, od.DrawingError),
     (_cross_missing_second_edge, od.DrawingError),
     (_cross_non_pair, od.DrawingError),
+    (_cross_bare_edge, od.DrawingError),
+    (_cross_one_edge, od.DrawingError),
     (_float_crossing, od.DrawingError),
     (_bool_crossing, od.DrawingError),
 ], ids=lambda p: getattr(p, "__name__", None))

@@ -59,6 +59,17 @@ def test_direct_construction_is_checked(edges, error):
         dataclasses.replace(od.new_bipartite(2, 2, []), edges=edges)
 
 
+@pytest.mark.parametrize("bad", [(0, 2, 3), (0,), 5, None], ids=repr)
+def test_edge_that_is_not_a_pair_is_named(bad):
+    # The good edge before it is passed over; the bad one is named.
+    with pytest.raises(od.GraphError) as info:
+        od.new_bipartite(2, 2, [(1, 3), bad])
+    assert str(info.value) == f"edge {bad!r} is not a pair of vertex ids"
+    # A fault in an earlier edge is named first.
+    with pytest.raises(od.VertexOutOfRange):
+        od.new_bipartite(2, 2, [(0, 9), bad])
+
+
 def test_empty_part_rejected():
     with pytest.raises(od.GraphError):
         od.new_bipartite(0, 3, [])
