@@ -34,12 +34,13 @@ FaceWalk, with its step tuples, is built only when one is asked for.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .graph import BipartiteGraph, Edge, reachable
+from .graph import BipartiteGraph, Edge, _iterate, reachable
 
 
 class DrawingError(ValueError):
@@ -171,11 +172,11 @@ def _walk_faces(
 def rotation_faces(rotation: Mapping[int, Sequence[int]]) -> list[FaceWalk]:
     """Trace all face walks of the rotation system, graph type agnostic.
 
-    Requires int nodes, each with a tuple or list of int neighbors, and a
-    symmetric adjacency (u in rotation[v] iff v in rotation[u]) with no
-    repeated neighbors; raises IncompleteRotation otherwise, naming a type
-    fault as :class:`Drawing` does.  Every directed segment side lands in
-    exactly one returned walk.
+    Requires a mapping of int nodes, each with a tuple or list of int
+    neighbors, and a symmetric adjacency (u in rotation[v] iff v in
+    rotation[u]) with no repeated neighbors; raises IncompleteRotation
+    otherwise, naming a type fault as :class:`Drawing` does.  Every
+    directed segment side lands in exactly one returned walk.
     """
     if not _well_typed(rotation):
         raise _type_fault(rotation)
@@ -218,8 +219,10 @@ class Drawing:
     Every rotation is stored read-only and starting at its smallest
     neighbor id, so structurally equal drawings compare equal.  Any
     violated invariant, including genus > 0 found by face tracing,
-    raises a DrawingError subclass.  ``_faces`` holds the traced faces
-    as node cycles; it takes no part in equality or repr.
+    raises a DrawingError subclass; so does a graph that is not a
+    BipartiteGraph, crossings that are not iterable, or a rotation that
+    is not a mapping.  ``_faces`` holds the traced faces as node cycles;
+    it takes no part in equality or repr.
     """
 
     graph: BipartiteGraph
@@ -228,6 +231,8 @@ class Drawing:
     _faces: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, BipartiteGraph):
+            raise DrawingError(f"graph must be a BipartiteGraph, got {type(self.graph).__name__}")
         crossings = _normalize_crossings(self.graph, self.crossings)
         succ = _validate_structure(self.graph, crossings, self.rotation)
         rotation = MappingProxyType(
@@ -263,28 +268,25 @@ class Drawing:
 def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ...]:
     """The crossings in normal form.
 
-    The crossing errors come in this order.  First, when any crossing
-    holds an id that is not an int (bools included) or an item that is not
-    iterable, DrawingError naming the first crossing that is not a pair of
-    edges, each a pair of int ids.  Then, crossing by crossing,
-    DrawingError for a crossing that is not a pair of pairs, DrawingError
-    for a missing edge, and AdjacentEdgesCross.  Last, EdgeCrossedTwice,
-    which :func:`_validate_structure` raises.
+    The rule of both input lists, as for a graph's edges: the first bad
+    item in input order, then the first repeat.  One walk reads each
+    crossing once and raises at the first fault it meets: DrawingError
+    for a crossing that is not a pair of edges, each a pair of ids, or
+    that has an endpoint that is not an int (bools included), DrawingError
+    for a missing edge, and AdjacentEdgesCross.  Repeats are decided after
+    the walk, by :func:`_validate_structure`.
     """
-    crossings = [*crossings]
-    try:
-        typed = {*map(type, chain.from_iterable(chain.from_iterable(crossings)))} <= {int}
-    except TypeError:  # a crossing or an edge that is not iterable
-        typed = False
-    if not typed:
-        raise _crossing_fault(crossings)
     edge_set = set(graph.edges)
     out: list[Crossing] = []
-    for i, c in enumerate(crossings):
+    for i, c in enumerate(_iterate(crossings, "crossings", DrawingError)):
         try:
             (a0, a1), (b0, b1) = c
-        except ValueError:  # a crossing or an edge that is not a pair
-            raise _crossing_fault(crossings) from None
+        except (TypeError, ValueError):
+            raise DrawingError(
+                f"crossing {i} is not a pair of edges, each a pair of ids: {c!r}"
+            ) from None
+        if not type(a0) is type(a1) is type(b0) is type(b1) is int:
+            raise DrawingError(f"crossing {i} has a non-int endpoint: {c}")
         ea = (a0, a1) if a0 <= a1 else (a1, a0)
         eb = (b0, b1) if b0 <= b1 else (b1, b0)
         if eb < ea:
@@ -297,19 +299,6 @@ def _normalize_crossings(graph: BipartiteGraph, crossings) -> tuple[Crossing, ..
             raise AdjacentEdgesCross(f"edges {ea} and {eb} share an endpoint")
         out.append(Crossing(ea, eb))
     return tuple(out)
-
-
-def _crossing_fault(crossings: Sequence) -> DrawingError:
-    """The error naming the first crossing that is not a pair of edges,
-    each a pair of int ids.  One such crossing must exist."""
-    for i, c in enumerate(crossings):
-        try:
-            (a0, a1), (b0, b1) = c
-        except (TypeError, ValueError):
-            return DrawingError(f"crossing {i} is not a pair of edges, each a pair of ids: {c!r}")
-        if not {*map(type, (a0, a1, b0, b1))} <= {int}:
-            return DrawingError(f"crossing {i} has a non-int endpoint: {c}")
-    raise AssertionError("every crossing is a pair of pairs of ints")
 
 
 def _crossed(graph: BipartiteGraph, crossings: Sequence[Crossing]) -> dict[Edge, int]:
@@ -351,18 +340,21 @@ def _validate_structure(
     """Raise the first structural defect of normalized ``crossings`` and
     ``rotation``, if any; else return the rotation's successor maps.
 
-    EdgeCrossedTwice comes first, decided by the size of the map from
-    crossed edges to dummies, which is built once and gives the segment
-    list.  Then one predicate decides the rotation: its keys are the int
-    nodes 0..n-1, compared as sets only when the counts match, so a
-    document that claims a huge n costs time and memory bounded by
-    len(rotation); its values are tuples or lists, holding 2 * |segments|
-    ints in all; and both sides of every segment are keys of the successor
-    maps, which are built only after the rest passes.  That is exact: the
-    maps' keys then hold at least every side and at most every listed
-    entry, so no entry is a repeat or a stranger, and each node, dummies
-    included, lists its planarization neighbours once.  Only when it fails
-    is the fault named, by :func:`_rotation_fault`.
+    EdgeCrossedTwice comes first.  It is the second half of the rule both
+    input lists follow, the first bad item in input order, then the first
+    repeat; :func:`_normalize_crossings` has made the walk for bad items.
+    It is decided by the size of the map from crossed edges to dummies,
+    which is built once and gives the segment list.  Then one predicate
+    decides the rotation: it is a mapping; its keys are the int nodes
+    0..n-1, compared as sets only when the counts match, so a document
+    that claims a huge n costs time and memory bounded by len(rotation);
+    its values are tuples or lists, holding 2 * |segments| ints in all;
+    and both sides of every segment are keys of the successor maps, which
+    are built only after the rest passes.  That is exact: the maps' keys
+    then hold at least every side and at most every listed entry, so no
+    entry is a repeat or a stranger, and each node, dummies included,
+    lists its planarization neighbours once.  Only when it fails is the
+    fault named, by :func:`_rotation_fault`.
     """
     crossed = _crossed(graph, crossings)
     if len(crossed) != 2 * len(crossings):
@@ -410,11 +402,12 @@ def _rotation_fault(
     rotation: Mapping[int, Sequence[int]],
 ) -> IncompleteRotation:
     """The error naming the first fault of a rotation that fails the check
-    in :func:`_validate_structure`: a node that is not an int, then missing
-    or extra nodes, then the first node, in ``rotation``'s order, whose
-    rotation is not a tuple or list, or not a cyclic order of its
-    planarization neighbours' int ids.  One of these must exist."""
-    if not {*map(type, rotation)} <= {int}:
+    in :func:`_validate_structure`: a rotation that is not a mapping or a
+    node that is not an int, then missing or extra nodes, then the first
+    node, in ``rotation``'s order, whose rotation is not a tuple or list
+    of int ids, or not a cyclic order of its planarization neighbours.
+    :func:`_type_fault` words each type fault.  One of these must exist."""
+    if not (isinstance(rotation, Mapping) and {*map(type, rotation)} <= {int}):
         return _type_fault(rotation)
     node_count = graph.vertex_count + len(crossings)
     nodes = range(node_count)
@@ -428,11 +421,10 @@ def _rotation_fault(
         )
     adj = _planarization_adjacency(graph, crossings)
     for v, order in rotation.items():
-        if type(order) not in (tuple, list):
-            # The nodes before v passed the checks below, so this names v.
+        if type(order) not in (tuple, list) or not {*map(type, order)} <= {int}:
+            # The nodes before v passed these checks, so this names v.
             return _type_fault(rotation)
-        if (not {*map(type, order)} <= {int}
-                or len(set(order)) != len(order) or set(order) != adj[v]):
+        if len(set(order)) != len(order) or set(order) != adj[v]:
             return IncompleteRotation(
                 f"rotation at node {v} lists {tuple(order)}, expected a cyclic "
                 f"order of {sorted(adj[v])}"
@@ -441,18 +433,21 @@ def _rotation_fault(
 
 
 def _well_typed(rotation: Mapping) -> bool:
-    """Whether ``rotation``'s nodes are ints (bools excluded), each with a
-    tuple or list of ints; :func:`_type_fault` names the first fault."""
-    entries = rotation.values()
-    return ({*map(type, rotation)} <= {int} and {*map(type, entries)} <= {tuple, list}
-            and {*map(type, chain.from_iterable(entries))} <= {int})
+    """Whether ``rotation`` is a mapping whose nodes are ints (bools
+    excluded), each with a tuple or list of ints; :func:`_type_fault`
+    names the first fault."""
+    return (isinstance(rotation, Mapping) and {*map(type, rotation)} <= {int}
+            and {*map(type, rotation.values())} <= {tuple, list}
+            and {*map(type, chain.from_iterable(rotation.values()))} <= {int})
 
 
 def _type_fault(rotation: Mapping) -> IncompleteRotation:
-    """The error naming the first type fault of ``rotation``: a node that
-    is not an int, then the first node, in ``rotation``'s order, whose
-    rotation is not a tuple or list, or lists an id that is not an int.
-    One of these must exist."""
+    """The error naming the first type fault of ``rotation``: a rotation
+    that is not a mapping, then a node that is not an int, then the first
+    node, in ``rotation``'s order, whose rotation is not a tuple or list,
+    or lists an id that is not an int.  One of these must exist."""
+    if not isinstance(rotation, Mapping):
+        return IncompleteRotation(f"rotation must be a mapping, got {type(rotation).__name__}")
     if not {*map(type, rotation)} <= {int}:
         stray = next(v for v in rotation if type(v) is not int)
         return IncompleteRotation(f"rotation node {stray!r} is not an int")

@@ -9,8 +9,7 @@ separate labeling table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Mapping, NoReturn
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Edge = tuple[int, int]
 
@@ -35,12 +34,15 @@ class VertexOutOfRange(GraphError):
 class BipartiteGraph:
     """Immutable simple graph in which every edge joins an X and a Y vertex.
 
-    Checked when it is made: a part size that is not a positive int, an
-    edge that is not a pair, a loop, a duplicate edge, an edge inside one
-    part or an endpoint that is not an int in range raises a GraphError
-    (a bool is not an int here).  ``edges`` may give each pair in either
-    order; it is stored sorted, X endpoint first, so equal edge sets
-    compare equal.
+    Checked when it is made, and any fault raises a GraphError: a part
+    size that is not a positive int, or ``edges`` that is not iterable.
+    Then one walk reads each edge once, in input order, and names the
+    first that is not a pair, has an endpoint that is not an int (a bool
+    is not an int here) or out of range, or lies inside one part, a loop
+    included.  Only after the walk are repeats decided, by size; the
+    first edge that repeats an earlier one is named.  ``edges`` may give
+    each pair in either order; it is stored sorted, X endpoint first, so
+    equal edge sets compare equal.
     """
 
     x_count: int
@@ -54,23 +56,25 @@ class BipartiteGraph:
         if x_count < 1 or y_count < 1:
             raise GraphError(f"both parts must be nonempty, got {x_count} and {y_count}")
         total = x_count + y_count
-        edges = tuple(self.edges)
-        # A good edge list passes these checks; only a bad one is walked
-        # again, to name its first bad edge.
-        try:
-            typed = {*map(type, chain.from_iterable(edges))} <= {int}
-            normalized = [(u, v) if u <= v else (v, u) for u, v in edges]
-        except (TypeError, ValueError):  # an edge that is not a pair of ids
-            typed = False
-        if not typed:
-            _raise_first_bad_edge(x_count, total, edges)
-        for lo, hi in normalized:
+        edges = tuple(_iterate(self.edges, "edges", GraphError))
+        pairs: list[Edge] = []
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
+            if not type(u) is type(v) is int:
+                raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
+            lo, hi = (u, v) if u <= v else (v, u)
             if not 0 <= lo < x_count <= hi < total:
-                _raise_first_bad_edge(x_count, total, edges)
-        if len(set(normalized)) != len(normalized):
-            _raise_first_bad_edge(x_count, total, edges)
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
+                if lo < 0 or hi >= total:
+                    raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
+                raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
+            pairs.append((lo, hi))
+        if len(set(pairs)) != len(pairs):
+            raise _first_repeat(edges, pairs)
+        pairs.sort()
+        object.__setattr__(self, "edges", tuple(pairs))
 
     @property
     def vertex_count(self) -> int:
@@ -85,27 +89,24 @@ class BipartiteGraph:
         return range(self.x_count, self.x_count + self.y_count)
 
 
-def _raise_first_bad_edge(x_count: int, total: int, edges) -> NoReturn:
-    """Raise the GraphError of the first edge that is not a pair, or has an
-    endpoint that is not an int, is out of range, inside one part, or a
-    repeat of an earlier edge."""
+def _first_repeat(edges: Sequence, pairs: list[Edge]) -> DuplicateEdge:
+    """The error naming the first of ``edges`` whose normalized pair, in
+    ``pairs``, repeats an earlier one.  An edge given as a tuple or list
+    is named as given; any other, which may be spent, by its pair."""
     seen: set[Edge] = set()
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
-        if type(u) is not int or type(v) is not int:
-            raise VertexOutOfRange(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
-        if not (0 <= u < total and 0 <= v < total):
-            raise VertexOutOfRange(f"edge ({u}, {v}) leaves the id range 0..{total - 1}")
-        lo, hi = (u, v) if u <= v else (v, u)
-        if lo >= x_count or hi < x_count:
-            raise SamePartEdge(f"edge ({u}, {v}) does not join the two parts")
-        if (lo, hi) in seen:
-            raise DuplicateEdge(f"edge ({u}, {v}) given twice")
-        seen.add((lo, hi))
-    raise AssertionError("every edge is good")
+    # seen.add returns None, so a pair not seen before is added and passed.
+    i = next(i for i, pair in enumerate(pairs) if pair in seen or seen.add(pair))
+    u, v = edges[i] if type(edges[i]) in (tuple, list) else pairs[i]
+    return DuplicateEdge(f"edge ({u}, {v}) given twice")
+
+
+def _iterate(value, name: str, error: type[ValueError]) -> Iterator:
+    """``iter(value)``; ``error``, naming argument ``name`` and its type,
+    when ``value`` is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{name} must be iterable, got {type(value).__name__}") from None
 
 
 def new_bipartite(x_count: int, y_count: int, edges) -> BipartiteGraph:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import onedisk as od
 from onedisk.documents import graph_to_document
-from onedisk.drawing import Drawing, FaceWalk, rotation_faces
+from onedisk.drawing import Drawing, FaceWalk, _normalize_crossings, rotation_faces
 
 from conftest import (
     _count_traces,
@@ -99,7 +99,9 @@ def test_tracer_raises_incomplete_rotation(rotation):
     ({0: (2,), 2: (0,), True: ()}, "rotation node True is not an int"),
     ({0: (1.0,), 1: (0,)}, "rotation at node 0 lists (1.0,), expected int ids"),
     ({0: (1,), 1: (False,)}, "rotation at node 1 lists (False,), expected int ids"),
-], ids=["int", "set", "str_node", "bool_node", "float_id", "bool_id"])
+    ([(0, (1,)), (1, (0,))], "rotation must be a mapping, got list"),
+    (None, "rotation must be a mapping, got NoneType"),
+], ids=["int", "set", "str_node", "bool_node", "float_id", "bool_id", "list", "none"])
 def test_tracer_applies_the_drawing_type_rule(rotation, message):
     with pytest.raises(od.IncompleteRotation) as info:
         rotation_faces(rotation)
@@ -285,8 +287,15 @@ def _wrong_neighbour(rotation):
             "[0, 1, 3, 4]")
 
 
+def _float_neighbour(rotation):
+    # Worded as the tracer words it: the id's type is the fault.
+    rotation[6] = (0.0,) + rotation[6][1:]
+    return "rotation at node 6 lists (0.0, 1, 3, 4), expected int ids"
+
+
 @pytest.mark.parametrize("corrupt", [
     _bool_key_and_missing_node, _missing_node_and_wrong_neighbour, _wrong_neighbour,
+    _float_neighbour,
 ], ids=lambda f: f.__name__)
 def test_rotation_fault_named_first_of_its_kind(corrupt):
     # The K3,3 drawing with one crossing; dummy 6 neighbours 0, 1, 3 and 4.
@@ -295,6 +304,120 @@ def test_rotation_fault_named_first_of_its_kind(corrupt):
     with pytest.raises(od.IncompleteRotation) as info:
         od.build_drawing(k33(), [((0, 3), (1, 4))], rotation)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("graph", None, od.DrawingError, "graph must be a BipartiteGraph, got NoneType"),
+    ("crossings", 5, od.DrawingError, "crossings must be iterable, got int"),
+    ("rotation", [(0, (4, 5, 6))], od.IncompleteRotation, "rotation must be a mapping, got list"),
+    ("rotation", None, od.IncompleteRotation, "rotation must be a mapping, got NoneType"),
+], ids=["graph_none", "crossings_int", "rotation_list", "rotation_none"])
+def test_argument_of_the_wrong_kind_is_named(field, value, error, message):
+    args = {"graph": k33(), "crossings": [((0, 3), (1, 4))],
+            "rotation": dict(no_disk_k33_drawing().rotation), field: value}
+    with pytest.raises(od.DrawingError) as info:
+        od.build_drawing(**args)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_bad_crossing_is_named_in_input_order():
+    # Crossing 0's missing edge comes before crossing 1's float endpoints.
+    with pytest.raises(od.DrawingError) as info:
+        od.build_drawing(k33(), [((0, 3), (9, 9)), ((0.0, 4.0), (1, 3))], {})
+    assert str(info.value) == "crossing 0 references missing edge (9, 9)"
+
+
+@pytest.mark.parametrize("crossing", [
+    iter,
+    lambda c: (c.edge_b[::-1], iter(c.edge_a)),
+    lambda c: (x for x in (iter(c.edge_a), c.edge_b)),
+], ids=["iterator_crossing", "iterator_edge", "generator_of_iterators"])
+def test_crossing_given_as_an_iterator_is_read_once(crossing):
+    _, d = od.construct_extremal(5, 9)
+    given = (crossing(c) for c in d.crossings)
+    assert od.build_drawing(d.graph, given, dict(d.rotation)) == d
+
+
+def _first_crossing_fault(edge_set, crossings):
+    """The reference rule: the first bad crossing in input order, then
+    the first repeated edge, as (error class, message), or None."""
+    normal = []
+    for i, c in enumerate(crossings):
+        if not (type(c) is tuple and len(c) == 2
+                and all(type(e) is tuple and len(e) == 2 for e in c)):
+            return (od.DrawingError,
+                    f"crossing {i} is not a pair of edges, each a pair of ids: {c!r}")
+        if any(type(u) is not int for e in c for u in e):
+            return od.DrawingError, f"crossing {i} has a non-int endpoint: {c}"
+        ea, eb = sorted(tuple(sorted(e)) for e in c)
+        for e in (ea, eb):
+            if e not in edge_set:
+                return od.DrawingError, f"crossing {i} references missing edge {e}"
+        if set(ea) & set(eb):
+            return od.AdjacentEdgesCross, f"edges {ea} and {eb} share an endpoint"
+        normal += [ea, eb]
+    for j, e in enumerate(normal):
+        if e in normal[:j]:
+            return od.EdgeCrossedTwice, f"edge {e} appears in more than one crossing"
+    return None
+
+
+_FIXED = od.construct_extremal(4, 6)[1].graph
+
+
+@st.composite
+def _crossing_lists_with_faults(draw):
+    """Edge-disjoint crossings of _FIXED's graph, each edge and crossing in
+    random order, with 0-2 faults of random kinds at random positions."""
+    edges = _FIXED.edges
+    free = st.sampled_from([(e, f) for e in edges for f in edges if not set(e) & set(f)])
+    crossings, used = [], set()
+    for e, f in draw(st.lists(free, max_size=5)):
+        if not {e, f} & used:
+            used |= {e, f}
+            e, f = (draw(st.sampled_from([g, g[::-1]])) for g in (e, f))
+            crossings.append(draw(st.sampled_from([(e, f), (f, e)])))
+    good = list(crossings)
+    for _ in range(draw(st.integers(0, 2))):
+        e, f = draw(free)
+        kind = draw(st.sampled_from(
+            ["bare_edge", "one_edge", "three_ids", "float", "bool", "missing", "adjacent",
+             "repeat"]))
+        if kind == "bare_edge":
+            bad = e
+        elif kind == "one_edge":
+            bad = (e,)
+        elif kind == "three_ids":
+            bad = (e + f[:1], f)
+        elif kind == "float":
+            bad = (tuple(map(float, e)), f)
+        elif kind == "bool":
+            bad = ((True, draw(st.sampled_from([v for u, v in edges if u == 1]))), f)
+        elif kind == "missing":
+            bad = (e, draw(st.sampled_from([(0, 1), (e[0], _FIXED.vertex_count)])))
+        elif kind == "adjacent":
+            bad = (e, draw(st.sampled_from([g for g in edges if g != e and set(g) & set(e)])))
+        else:
+            crossed = draw(st.sampled_from(good))[0] if good else e
+            bad = (crossed, draw(st.sampled_from([g for g in edges if not set(g) & set(crossed)])))
+        crossings.insert(draw(st.integers(0, len(crossings))), bad)
+    return crossings
+
+
+@settings(max_examples=300, deadline=None)
+@given(crossings=_crossing_lists_with_faults())
+def test_crossing_faults_follow_the_one_rule(crossings):
+    expected = _first_crossing_fault(set(_FIXED.edges), crossings)
+    if expected is None:
+        normal = tuple(od.Crossing(*sorted(tuple(sorted(e)) for e in c)) for c in crossings)
+        assert _normalize_crossings(_FIXED, crossings) == normal
+        # Past the crossings, the empty rotation is the first fault.
+        with pytest.raises(od.IncompleteRotation):
+            od.build_drawing(_FIXED, crossings, {})
+        return
+    with pytest.raises(od.DrawingError) as info:
+        od.build_drawing(_FIXED, crossings, {})
+    assert (type(info.value), str(info.value)) == expected
 
 
 def test_disconnected_planarization_rejected():
